@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/value"
 )
 
 var (
@@ -109,7 +108,7 @@ func (s *Server) handleViews(w http.ResponseWriter, _ *http.Request) {
 	var out []viewInfo
 	for _, name := range s.hub.ViewNames() {
 		ep, _ := s.hub.Current(name)
-		out = append(out, viewInfo{Name: name, Epoch: ep.Seq, LSN: ep.LSN, Rows: len(ep.Rows)})
+		out = append(out, viewInfo{Name: name, Epoch: ep.Seq, LSN: ep.LSN, Rows: ep.Len()})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
@@ -154,8 +153,8 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		ep = got
 	}
 
-	rows := ep.Rows
-	total := len(rows)
+	var rows []Row
+	total := ep.Len()
 	if ks := q.Get("key"); ks != "" {
 		schema, _ := s.hub.Schema(name)
 		tuple, err := tupleFromJSON([]byte(ks), schema)
@@ -163,11 +162,8 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 			httpErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		var enc value.KeyEncoder
-		if row, ok := ep.Lookup(enc.Key(tuple)); ok {
+		if row, ok := ep.Lookup(tuple); ok {
 			rows = []Row{row}
-		} else {
-			rows = nil
 		}
 		total = len(rows)
 	} else {
@@ -176,16 +172,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		if ls := q.Get("limit"); ls != "" {
 			limit, _ = strconv.Atoi(ls)
 		}
-		if offset < 0 {
-			offset = 0
-		}
-		if offset > len(rows) {
-			offset = len(rows)
-		}
-		rows = rows[offset:]
-		if limit >= 0 && limit < len(rows) {
-			rows = rows[:limit]
-		}
+		rows = ep.Page(offset, limit)
 	}
 
 	// Hand-rolled body: deterministic (same epoch -> same bytes), and no
@@ -193,14 +180,22 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	b := make([]byte, 0, 64+48*len(rows))
 	b = append(b, `{"view":`...)
 	b = appendJSONString(b, name)
-	b = fmt.Appendf(b, `,"epoch":%d,"lsn":%d,"total":%d,"rows":[`, ep.Seq, ep.LSN, total)
+	b = append(b, `,"epoch":`...)
+	b = appendUint(b, ep.Seq)
+	b = append(b, `,"lsn":`...)
+	b = appendUint(b, ep.LSN)
+	b = append(b, `,"total":`...)
+	b = appendUint(b, uint64(total))
+	b = append(b, `,"rows":[`...)
 	for i, row := range rows {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, `{"tuple":`...)
 		b = appendTupleJSON(b, row.Tuple)
-		b = fmt.Appendf(b, `,"count":%d}`, row.Count)
+		b = append(b, `,"count":`...)
+		b = strconv.AppendInt(b, row.Count, 10)
+		b = append(b, '}')
 	}
 	b = append(b, `]}`...)
 	w.Header().Set("Content-Type", "application/json")
@@ -262,10 +257,4 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(struct {
 		Hub Stats `json:"hub"`
 	}{Hub: s.hub.Stats()})
-}
-
-// appendJSONString renders one JSON string with full escaping.
-func appendJSONString(dst []byte, s string) []byte {
-	b, _ := json.Marshal(s)
-	return append(dst, b...)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -16,13 +17,20 @@ import (
 )
 
 var (
-	obsWindows     = obs.C("server.hub.windows")
-	obsQueueDepth  = obs.G("server.hub.queue")
-	obsSubscribers = obs.G("server.sse.subscribers")
-	obsDropped     = obs.C("server.sse.dropped")
-	obsEvents      = obs.C("server.sse.events")
-	obsFeedErrs    = obs.C("server.feed.errors")
+	obsWindows      = obs.C("server.hub.windows")
+	obsQueueDepth   = obs.G("server.hub.queue")
+	obsSubscribers  = obs.G("server.sse.subscribers")
+	obsDropped      = obs.C("server.sse.dropped")
+	obsEvents       = obs.C("server.sse.events")
+	obsFeedErrs     = obs.C("server.feed.errors")
+	obsBackpressure = obs.C("server.hub.backpressure")
 )
+
+// maxQueue bounds the windows waiting for the hub goroutine. A writer
+// whose window finds the queue full waits in OnWindow until the hub
+// drains below it: a hub that falls behind slows the writer down
+// instead of growing its heap without bound.
+const maxQueue = 1024
 
 func errf(format string, args ...any) error { return fmt.Errorf("server: "+format, args...) }
 
@@ -84,22 +92,21 @@ type ownedViewDelta struct {
 // the folding/fan-out so the writer's hook only pays for the clone and
 // an enqueue.
 type Hub struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []ownedWindow
-	closed bool
-	done   chan struct{}
+	mu      sync.Mutex
+	cond    *sync.Cond // signalled when the queue grows or the hub closes
+	notFull *sync.Cond // signalled when the queue shrinks or the hub closes
+	queue   []ownedWindow
+	closed  bool
+	done    chan struct{}
 
 	views map[string]*viewState // immutable after NewHub
 	byEq  map[int]*viewState    // immutable after NewHub
 
 	feed    *wal.FeedLog
-	feedSeq uint64 // hub goroutine only (mirrors feed.LastSeq when set)
+	feedSeq atomic.Uint64 // written by the hub goroutine only (mirrors feed.LastSeq when set)
 
 	retain int
 	subCap int
-
-	enc value.KeyEncoder // hub goroutine only
 }
 
 // NewHub builds the hub, seeds every view's epoch 0 from its backing
@@ -123,8 +130,9 @@ func NewHub(cfg HubConfig) (*Hub, error) {
 		h.subCap = 256
 	}
 	h.cond = sync.NewCond(&h.mu)
+	h.notFull = sync.NewCond(&h.mu)
 	if h.feed != nil {
-		h.feedSeq = h.feed.LastSeq()
+		h.feedSeq.Store(h.feed.LastSeq())
 	}
 	for _, src := range cfg.Views {
 		if src.Name == "" || src.Schema == nil || src.Rel == nil {
@@ -133,23 +141,23 @@ func NewHub(cfg HubConfig) (*Hub, error) {
 		if _, dup := h.views[src.Name]; dup {
 			return nil, errf("duplicate view %q", src.Name)
 		}
-		vs := &viewState{name: src.Name, schema: src.Schema, eqID: src.EqID,
-			rows: map[string]Row{}}
+		vs := &viewState{name: src.Name, schema: src.Schema, eqID: src.EqID}
+		var snap []storage.Row
 		for retry := 0; ; retry++ {
 			v0 := src.Rel.Version()
-			rows := src.Rel.Snapshot()
+			snap = src.Rel.Snapshot()
 			if src.Rel.Version() == v0 {
-				for _, r := range rows {
-					vs.rows[string(h.enc.Key(r.Tuple))] = Row{Tuple: r.Tuple, Count: r.Count}
-				}
 				break
 			}
 			if retry > 100 {
 				return nil, errf("view %q: cannot seed a stable snapshot (writer active)", src.Name)
 			}
-			clear(vs.rows)
 		}
-		ep := vs.snapshot(h.feedSeq, 0, &h.enc)
+		rows := make([]Row, len(snap))
+		for i, r := range snap {
+			rows[i] = Row{Tuple: r.Tuple, Count: r.Count}
+		}
+		ep := seedEpoch(h.feedSeq.Load(), rows)
 		vs.cur.Store(ep)
 		vs.ring = append(vs.ring, ep)
 		h.views[src.Name] = vs
@@ -162,7 +170,9 @@ func NewHub(cfg HubConfig) (*Hub, error) {
 // OnWindow is the maintain.WindowHook: it runs on the writer's window
 // goroutine, so it does the minimum — deep-clone the served views'
 // deltas (they die at the next arena reset) and enqueue. Windows that
-// touch no served view produce no feed record and no epoch.
+// touch no served view produce no feed record and no epoch. A full
+// queue blocks the writer here until the hub drains below maxQueue or
+// closes.
 func (h *Hub) OnWindow(u maintain.WindowUpdate) {
 	var vds []ownedViewDelta
 	for eqID, vs := range h.byEq {
@@ -191,6 +201,12 @@ func (h *Hub) OnWindow(u maintain.WindowUpdate) {
 	}
 	sort.Slice(vds, func(i, j int) bool { return vds[i].state.name < vds[j].state.name })
 	h.mu.Lock()
+	if len(h.queue) >= maxQueue && !h.closed {
+		obsBackpressure.Inc()
+		for len(h.queue) >= maxQueue && !h.closed {
+			h.notFull.Wait()
+		}
+	}
 	if !h.closed {
 		h.queue = append(h.queue, ownedWindow{
 			windowSeq: u.Seq, lsn: u.LSN, txns: u.Txns, views: vds})
@@ -222,6 +238,7 @@ func (h *Hub) run() {
 			h.queue = nil
 		}
 		obsQueueDepth.Set(float64(len(h.queue)))
+		h.notFull.Broadcast()
 		h.mu.Unlock()
 		h.process(w)
 	}
@@ -247,19 +264,18 @@ func (h *Hub) process(w ownedWindow) {
 			// assigning sequence numbers so snapshots and live
 			// subscribers continue.
 			obsFeedErrs.Inc()
-			h.feedSeq++
+			h.feedSeq.Add(1)
 		} else {
-			h.feedSeq = seq
+			h.feedSeq.Store(seq)
 		}
 	} else {
-		h.feedSeq++
+		h.feedSeq.Add(1)
 	}
-	seq := h.feedSeq
+	seq := h.feedSeq.Load()
 
 	for _, vd := range w.views {
 		vs := vd.state
-		vs.fold(vd.changes, &h.enc)
-		ep := vs.snapshot(seq, w.lsn, &h.enc)
+		ep := vs.fold(vd.changes, seq, w.lsn)
 		ev := Event{
 			View: vs.name,
 			Seq:  seq,
@@ -344,7 +360,7 @@ func buildEventJSON(view string, seq, windowSeq, lsn uint64, txns int, changes [
 }
 
 func appendUint(b []byte, n uint64) []byte {
-	return fmt.Appendf(b, "%d", n)
+	return strconv.AppendUint(b, n, 10)
 }
 
 func removeSub(subs []*subscriber, i int) []*subscriber {
@@ -523,7 +539,7 @@ func (h *Hub) Stats() Stats {
 	for _, vs := range h.views {
 		subs += len(vs.subs)
 	}
-	return Stats{Views: len(h.views), FeedSeq: h.feedSeq,
+	return Stats{Views: len(h.views), FeedSeq: h.feedSeq.Load(),
 		Subscribers: subs, QueueDepth: len(h.queue)}
 }
 
@@ -538,6 +554,7 @@ func (h *Hub) Close() error {
 	}
 	h.closed = true
 	h.cond.Broadcast()
+	h.notFull.Broadcast()
 	h.mu.Unlock()
 	<-h.done
 	h.mu.Lock()

@@ -19,9 +19,10 @@ package server
 import (
 	"encoding/json"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"repro/internal/catalog"
 	"repro/internal/value"
@@ -38,36 +39,66 @@ type Row struct {
 // number. Published epochs are never mutated: handlers serve from them
 // without synchronization, and a client that pins Seq re-reads
 // byte-identical contents for as long as the epoch is retained.
+// Successive epochs of a view share every tree node the windows between
+// them did not touch (ptree.go).
 type Epoch struct {
 	// Seq is the feed sequence number whose application produced this
 	// epoch (0 for the seed snapshot taken before any window).
 	Seq uint64
 	// LSN is the WAL durability point covering the epoch (0 in-memory).
 	LSN uint64
-	// Rows is sorted by encoded tuple key, so scans paginate stably.
-	Rows []Row
-	// keys maps encoded tuple key -> index into Rows for point queries.
-	keys map[string]int
+
+	root *node // rows in compareTuples order; nil when empty
+	len  int
 }
 
-// Lookup returns the row matching the encoded key, if any.
-func (e *Epoch) Lookup(key []byte) (Row, bool) {
-	i, ok := e.keys[string(key)]
-	if !ok {
-		return Row{}, false
+// Len returns the number of rows.
+func (e *Epoch) Len() int { return e.len }
+
+// Lookup returns the row whose tuple has the same encoded key as t.
+func (e *Epoch) Lookup(t value.Tuple) (Row, bool) {
+	for n := e.root; n != nil; {
+		i, found := n.search(t)
+		if n.leaf {
+			if found {
+				return n.ents[i].Row, true
+			}
+			break
+		}
+		if !found {
+			if i == 0 {
+				break // below the smallest row
+			}
+			i--
+		}
+		n = n.ents[i].kid
 	}
-	return e.Rows[i], true
+	return Row{}, false
 }
 
-// viewState is one served view. The rows map and ring are owned by the
-// hub goroutine; cur is the lock-free read path.
+// Page returns up to limit rows (all of them when limit < 0) starting at
+// rank offset, in tree order. Offsets outside [0, Len] are clamped.
+func (e *Epoch) Page(offset, limit int) []Row {
+	offset = min(max(offset, 0), e.len)
+	n := e.len - offset
+	if limit >= 0 && limit < n {
+		n = limit
+	}
+	if n == 0 {
+		return nil
+	}
+	return appendRange(make([]Row, 0, n), e.root, offset)
+}
+
+// viewState is one served view. gen and the ring are owned by the hub
+// goroutine; cur is the lock-free read path.
 type viewState struct {
 	name   string
 	schema *catalog.Schema
 	eqID   int
 
-	rows map[string]Row // encoded key -> live row (hub goroutine only)
-	cur  atomic.Pointer[Epoch]
+	gen uint64 // fold generation (hub goroutine only)
+	cur atomic.Pointer[Epoch]
 
 	// ring retains recent epochs, oldest first, so a client can pin a
 	// sequence number across several requests (hub goroutine appends
@@ -77,55 +108,39 @@ type viewState struct {
 	subs []*subscriber // guarded by the hub mutex
 }
 
-// fold applies one view delta to the live rows map. Counts are
-// normalized to >= 1 by the cloning path, matching the wire codec.
-func (vs *viewState) fold(changes []Change, enc *value.KeyEncoder) {
-	for _, c := range changes {
-		if c.Old != nil {
-			k := string(enc.Key(c.Old))
-			r := vs.rows[k]
-			r.Count -= c.Count
-			if r.Count <= 0 {
-				delete(vs.rows, k)
-			} else {
-				vs.rows[k] = r
-			}
-		}
-		if c.New != nil {
-			k := string(enc.Key(c.New))
-			r, ok := vs.rows[k]
-			if !ok {
-				r = Row{Tuple: c.New}
-			}
-			r.Count += c.Count
-			vs.rows[k] = r
-		}
-	}
+// seedEpoch bulk-loads the seed epoch from the rows of the view's
+// relation: any order, each tuple once (a relation keys its rows by
+// encoded tuple).
+func seedEpoch(seq uint64, rows []Row) *Epoch {
+	slices.SortFunc(rows, func(a, b Row) int { return compareTuples(a.Tuple, b.Tuple) })
+	return &Epoch{Seq: seq, root: bulkLoad(rows), len: len(rows)}
 }
 
-// snapshot builds a fresh immutable Epoch from the live rows map.
-func (vs *viewState) snapshot(seq, lsn uint64, enc *value.KeyEncoder) *Epoch {
-	ep := &Epoch{
-		Seq:  seq,
-		LSN:  lsn,
-		Rows: make([]Row, 0, len(vs.rows)),
-		keys: make(map[string]int, len(vs.rows)),
+// fold applies one view delta to the current epoch and returns the next
+// one. Counts are normalized to >= 1 by the cloning path, matching the
+// wire codec.
+func (vs *viewState) fold(changes []Change, seq, lsn uint64) *Epoch {
+	cur := vs.cur.Load()
+	root, n := cur.root, cur.len
+	vs.gen++
+	for _, c := range changes {
+		var d int
+		if c.Old != nil {
+			root, d = addRow(root, c.Old, -c.Count, vs.gen)
+			n += d
+		}
+		if c.New != nil {
+			root, d = addRow(root, c.New, c.Count, vs.gen)
+			n += d
+		}
 	}
-	for _, r := range vs.rows {
-		ep.Rows = append(ep.Rows, r)
-	}
-	sort.Slice(ep.Rows, func(i, j int) bool {
-		return ep.Rows[i].Tuple.Compare(ep.Rows[j].Tuple) < 0
-	})
-	for i, r := range ep.Rows {
-		ep.keys[string(enc.Key(r.Tuple))] = i
-	}
-	return ep
+	return &Epoch{Seq: seq, LSN: lsn, root: root, len: n}
 }
 
 // appendValueJSON renders one scalar as JSON. Int stays integral (no
-// float round-trip), strings go through encoding/json for escaping, and
-// non-finite floats degrade to null (JSON has no NaN/Inf).
+// float round-trip), strings are escaped exactly as encoding/json
+// escapes them, and non-finite floats degrade to null (JSON has no
+// NaN/Inf).
 func appendValueJSON(dst []byte, v value.Value) []byte {
 	switch v.Kind {
 	case value.Int:
@@ -136,8 +151,7 @@ func appendValueJSON(dst []byte, v value.Value) []byte {
 		}
 		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	case value.String:
-		b, _ := json.Marshal(v.S)
-		return append(dst, b...)
+		return appendJSONString(dst, v.S)
 	case value.Bool:
 		if v.B {
 			return append(dst, "true"...)
@@ -146,6 +160,59 @@ func appendValueJSON(dst []byte, v value.Value) []byte {
 	default:
 		return append(dst, "null"...)
 	}
+}
+
+// appendJSONString renders s as a JSON string, byte for byte as
+// json.Marshal does (HTML-safe escapes, invalid UTF-8 as U+FFFD, U+2028
+// and U+2029 escaped), without its allocations.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // appendTupleJSON renders a tuple as a JSON array.
