@@ -3,8 +3,10 @@
 // The paper's DeptConstraint ("a department's expense should not exceed
 // its budget") is declared with CREATE ASSERTION ... CHECK (NOT EXISTS
 // ...). The system maintains the constraint's view incrementally — made
-// cheap by the auxiliary SumOfSals view the optimizer picks — and rolls
-// back any transaction that would violate it.
+// cheap by the auxiliary SumOfSals view the optimizer picks — and
+// rejects any transaction that would violate it. The verdict comes from
+// the assertion view's delta, computed before anything is written, so a
+// rejected transaction costs only its queries.
 //
 // Run: go run ./examples/assertions
 package main
@@ -76,21 +78,22 @@ CREATE ASSERTION DeptConstraint CHECK
 		if !out.OK() {
 			status = out.Violations[0].String()
 			if out.RolledBack {
-				status += " -> ROLLED BACK"
+				status += " -> REJECTED"
 			}
 		}
 		fmt.Printf("%-58s %s (%d page I/Os)\n", sql, status, out.Report.PaperTotal())
 	}
 
 	fmt.Println("\n=== transactions under the constraint ===")
-	run(`UPDATE Emp SET Salary = 150 WHERE EName = 'e07_2'`)   // fine
-	run(`INSERT INTO Emp VALUES ('intern', 'd03', 80)`)        // fine
-	run(`UPDATE Emp SET Salary = 900 WHERE EName = 'e07_2'`)   // would overspend d07
-	run(`UPDATE Dept SET Budget = 400 WHERE DName = 'd11'`)    // budget cut below payroll
-	run(`UPDATE Dept SET Budget = 5000 WHERE DName = 'd11'`)   // generous raise: fine
-	run(`DELETE FROM Emp WHERE EName = 'e07_2'`)               // fine
+	run(`UPDATE Emp SET Salary = 150 WHERE EName = 'e07_2'`) // fine
+	run(`INSERT INTO Emp VALUES ('intern', 'd03', 80)`)      // fine
+	run(`UPDATE Emp SET Salary = 900 WHERE EName = 'e07_2'`) // would overspend d07
+	run(`UPDATE Dept SET Budget = 400 WHERE DName = 'd11'`)  // budget cut below payroll
+	run(`UPDATE Dept SET Budget = 5000 WHERE DName = 'd11'`) // generous raise: fine
+	run(`DELETE FROM Emp WHERE EName = 'e07_2'`)             // fine
 
-	// Because of rollbacks the database still satisfies the constraint.
+	// Because violators were rejected the database still satisfies the
+	// constraint.
 	res, err := db.Query(`SELECT Dept.DName FROM Emp, Dept
 WHERE Dept.DName = Emp.DName GROUP BY Dept.DName, Budget HAVING SUM(Salary) > Budget`)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/txn"
 )
 
-func checkerFixture(t *testing.T, mode ic.Mode) (*corpus.Database, *ic.Checker) {
+func checkerFixture(t *testing.T) (*corpus.Database, *ic.Checker) {
 	t.Helper()
 	db := corpus.NewDatabase(corpus.Config{Departments: 8, EmpsPerDept: 4})
 	d, err := dag.FromTree(db.ProblemDept())
@@ -32,7 +32,7 @@ func checkerFixture(t *testing.T, mode ic.Mode) (*corpus.Database, *ic.Checker) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	checker, err := ic.New(m, mode, ic.Assertion{Name: "DeptConstraint", View: d.Root})
+	checker, err := ic.New(m, ic.Assertion{Name: "DeptConstraint", View: d.Root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func checkerFixture(t *testing.T, mode ic.Mode) (*corpus.Database, *ic.Checker) 
 }
 
 func TestCleanTransactionPasses(t *testing.T) {
-	db, c := checkerFixture(t, ic.Reject)
+	db, c := checkerFixture(t)
 	d, err := db.EmpSalaryDelta(0, 0, 120)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestCleanTransactionPasses(t *testing.T) {
 }
 
 func TestViolationRejectedAndRolledBack(t *testing.T) {
-	db, c := checkerFixture(t, ic.Reject)
+	db, c := checkerFixture(t)
 	d, err := db.EmpSalaryDelta(3, 1, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -81,58 +81,7 @@ func TestViolationRejectedAndRolledBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !out.OK() {
-		t.Errorf("post-rollback transaction flagged: %+v", out.Violations)
-	}
-}
-
-func TestReportModeKeepsViolation(t *testing.T) {
-	db, c := checkerFixture(t, ic.Report)
-	d, err := db.EmpSalaryDelta(2, 2, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.Execute(txn.PaperTypes()[0], map[string]*delta.Delta{"Emp": d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.OK() || out.RolledBack {
-		t.Fatalf("report mode should flag but keep: %+v", out)
-	}
-	// The violation persists (deferred-style): a later unrelated
-	// transaction still sees it.
-	d2, err := db.DeptBudgetDelta(5, 99_999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err = c.Execute(txn.PaperTypes()[1], map[string]*delta.Delta{"Dept": d2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.OK() {
-		t.Error("pre-existing violation should still be visible")
-	}
-}
-
-func TestBudgetRaiseCuresViolation(t *testing.T) {
-	db, c := checkerFixture(t, ic.Report)
-	d, err := db.EmpSalaryDelta(1, 0, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Execute(txn.PaperTypes()[0], map[string]*delta.Delta{"Emp": d}); err != nil {
-		t.Fatal(err)
-	}
-	// Raising the department's budget above the new sum cures it.
-	d2, err := db.DeptBudgetDelta(1, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.Execute(txn.PaperTypes()[1], map[string]*delta.Delta{"Dept": d2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.OK() {
-		t.Errorf("budget raise should cure the violation: %+v", out.Violations)
+		t.Errorf("post-rejection transaction flagged: %+v", out.Violations)
 	}
 }
 
@@ -154,7 +103,7 @@ func TestAssertionMustBeMaterialized(t *testing.T) {
 			break
 		}
 	}
-	if _, err := ic.New(m, ic.Reject, ic.Assertion{Name: "bad", View: nonRoot}); err == nil {
+	if _, err := ic.New(m, ic.Assertion{Name: "bad", View: nonRoot}); err == nil {
 		t.Error("assertion over unmaterialized view should be rejected")
 	}
 }

@@ -1,6 +1,7 @@
 package maintain
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -17,24 +18,32 @@ import (
 // — the batching knob §3.6's space-for-time trade is parameterized by.
 var obsBatchWindow = obs.H("maintain.batch.window")
 
-// workerHist returns the apply-latency histogram for one view-apply
-// worker slot (nanoseconds per view applied). Registration is lazy and
-// idempotent, so repeated batches share one histogram per slot; a
-// skewed slot reveals an unbalanced view partition.
-func workerHist(w int) *obs.Histogram {
-	return obs.H(fmt.Sprintf("maintain.apply.worker%02d.ns", w))
+// workerHists returns the apply-latency histograms (nanoseconds per view
+// applied) for view-apply worker slots 0..n-1. Each slot is registered
+// once and cached on the maintainer, so a window pays neither the name
+// formatting nor the registry lookup; a skewed slot reveals an
+// unbalanced view partition. Called before the workers start, so the
+// cache has a single writer.
+func (m *Maintainer) workerHists(n int) []*obs.Histogram {
+	for w := len(m.workerHist); w < n; w++ {
+		m.workerHist = append(m.workerHist, obs.H(fmt.Sprintf("maintain.apply.worker%02d.ns", w)))
+	}
+	return m.workerHist[:n]
 }
 
-// BatchReport describes one maintained window of transactions, with the
-// same I/O split as Report. QueryIO covers the single propagation pass
-// over the coalesced delta — this is where batching wins: track-prefix
-// queries are posed once for the whole window instead of once per
-// transaction, and changes that annihilate within the window are never
-// propagated at all.
+// BatchReport describes one maintained window of transactions, with page
+// I/O split the way the paper accounts it: queries posed during delta
+// computation, updates to the additional materialized views, updates to
+// the top-level view(s), and updates to the base relations (the last two
+// are excluded from the paper's §3.6 totals). QueryIO covers the single
+// propagation pass over the window — this is where batching wins:
+// track-prefix queries are posed once for the whole window instead of
+// once per transaction, and changes that annihilate within the window
+// are never propagated at all.
 //
 // Lifetime: ApplyBatch returns a recycled report — the same object,
 // reset in place, every window — so the report and everything it points
-// at are valid only until the next Apply/ApplyBatch on the maintainer.
+// at are valid only until the next window on the maintainer.
 type BatchReport struct {
 	// Size is the number of transactions in the window.
 	Size  int
@@ -48,9 +57,9 @@ type BatchReport struct {
 
 	// Deltas holds the computed change at every affected node.
 	Deltas map[int]*delta.Delta
-	// Merged holds the coalesced per-base-relation deltas the window
-	// nets out to (what was actually propagated and applied), sorted by
-	// relation name.
+	// Merged holds the per-base-relation deltas the window propagated
+	// and applied, sorted by relation name: the coalesced net deltas, or
+	// a lone typed transaction's own deltas (see ApplyBatch).
 	Merged delta.Coalesced
 	// LSN is the log sequence number as of which the window is durable
 	// when a Committer is attached (0 otherwise).
@@ -61,6 +70,12 @@ type BatchReport struct {
 // additional-view maintenance I/O.
 func (r *BatchReport) PaperTotal() int64 { return r.QueryIO.Total() + r.ViewIO.Total() }
 
+// Verdict decides a window from the deltas propagation computed at every
+// affected node, before anything is written; it returns true to reject
+// the window. The map follows the WindowUpdate ownership contract:
+// anything retained past the call must be cloned.
+type Verdict func(deltas map[int]*delta.Delta) (reject bool)
+
 // ApplyBatch maintains the view set under a window of transactions as
 // one unit:
 //
@@ -69,19 +84,44 @@ func (r *BatchReport) PaperTotal() int64 { return r.QueryIO.Total() + r.ViewIO.T
 //  2. the merged delta is propagated once along the update track chosen
 //     for the window's synthesized transaction type, sharing the
 //     per-window probe cache across everything the window touches;
-//  3. the per-view deltas are applied to independent materialized views
+//  3. the base relations are updated, one storage batch per relation;
+//  4. the per-view deltas are applied to independent materialized views
 //     concurrently (up to m.Workers goroutines), each worker charging a
 //     private I/O counter so the hot path takes no locks; sidecar
 //     live/stale bookkeeping stays per-view and runs on whichever
-//     worker owns the view;
-//  4. the base relations are updated, one storage batch per relation.
+//     worker owns the view.
 //
-// Queries still see the pre-batch state, exactly as Apply's queries see
-// the pre-transaction state: composition of the window's deltas is
-// valid against the database as of the window's start. The final view
+// A single transaction is a window of one. When it is typed, step 1
+// keeps its own deltas (ordered by relation name) and step 2 uses its
+// declared type: coalescing would split every modification into a
+// delete and an insert, and the paper's §3.6 figures price a
+// modification as one in-place update.
+//
+// Queries see the pre-window state, as in the paper's differential
+// formalism (R_old, V_old): composition of the window's deltas is valid
+// against the database as of the window's start. The final view
 // contents are identical to applying the window transaction by
 // transaction; only the I/O spent getting there differs.
 func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
+	rep, _, err := m.ApplyChecked(txns, nil)
+	return rep, err
+}
+
+// ApplyChecked is ApplyBatch with a verdict between propagation and the
+// first storage write (nil accepts every window). A rejected window
+// mutates no relation, stages nothing for a committer and fires no
+// window hook; its report still carries the query I/O spent deciding
+// it. applied reports the verdict. The post-window sidecar counts that
+// propagation computed are discarded; the pre-window counts it healed
+// stay valid.
+//
+// A verdict cannot run under an attached Committer: BeginWindow starts
+// logging the window before propagation. Detach it and commit after the
+// verdict instead.
+func (m *Maintainer) ApplyChecked(txns []txn.Transaction, reject Verdict) (rep *BatchReport, applied bool, err error) {
+	if reject != nil && m.Committer != nil {
+		return nil, false, errors.New("maintain: a window verdict needs the committer detached")
+	}
 	t0 := time.Now()
 	wt := obs.StartWindow("maintain.batch", m.spanParent)
 	m.windowSpan = wt.RootID()
@@ -97,16 +137,11 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 	// Rewind the window arena: tuples from the previous window (held by
 	// its report) are invalidated here, per the window ownership rule.
 	m.arena.Reset()
-	m.winBuf = m.winBuf[:0]
-	for _, t := range txns {
-		m.winBuf = append(m.winBuf, t.Updates)
-	}
-	merged := m.coalescer.Coalesce(m.winBuf)
-	bt := txn.MergedType(txns, merged)
+	merged, bt := m.windowDeltas(txns)
 	// Recycled report: the maintainer hands back the same BatchReport
 	// every window, reset in place — callers may use it only until the
-	// next Apply/ApplyBatch (the same lifetime its Deltas already had).
-	rep := &m.batchRep
+	// next window (the same lifetime its Deltas already had).
+	rep = &m.batchRep
 	*rep = BatchReport{
 		Size:   len(txns),
 		Type:   bt,
@@ -120,30 +155,32 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 	}
 	if len(merged) == 0 {
 		rep.Track = &tracks.Track{}
-		// Still drain the committer: transactions that net to nothing
-		// (e.g. an applied-then-rolled-back rejection) must clear their
-		// staged deltas, and the returned LSN is the durability point
-		// covering the window.
+		if reject != nil && reject(rep.Deltas) {
+			return rep, false, nil
+		}
+		// Still drain the committer: the returned LSN is the durability
+		// point covering the window, and anything staged outside a
+		// window is flushed with it.
 		if m.Committer != nil {
 			lsn, err := m.Committer.Commit(len(txns))
 			if err != nil {
 				obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 1)
-				return nil, fmt.Errorf("maintain: commit: %w", err)
+				return nil, false, fmt.Errorf("maintain: commit: %w", err)
 			}
 			rep.LSN = lsn
 			obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 0)
 		}
 		m.fireWindowHook(rep.LSN, rep.Size, rep.Deltas)
-		return rep, nil
+		return rep, true, nil
 	}
-	// Pipelined group commit: a WindowCommitter gets the window's net
-	// base deltas now — before propagation — so its encode/write/fsync
-	// runs under the entire window instead of only under view
-	// application. The wait call below is the commit fence; on every
-	// exit path it must run so the committer's staging is re-armed.
+	// Pipelined group commit: the committer gets the window's base
+	// deltas now — before propagation — so its encode/write/fsync runs
+	// under the entire window instead of only under view application.
+	// The wait call below is the commit fence; on every exit path it
+	// must run so the committer's staging is re-armed.
 	var wait func() (uint64, error)
-	if wc, ok := m.Committer.(WindowCommitter); ok {
-		wait = wc.BeginWindow(merged, len(txns))
+	if m.Committer != nil {
+		wait = m.Committer.BeginWindow(merged, len(txns))
 		// Yield so the committer goroutine runs now, reaching its fsync
 		// before propagation starts: on GOMAXPROCS=1 a CPU-bound window
 		// never otherwise cedes the processor, and the "background"
@@ -166,18 +203,16 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 
 	plan, err := m.planFor(bt)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	tr := plan.track
 	rep.Track = tr
 
-	// Seed leaf deltas from the merged window. Coalesce emits only
-	// non-empty net deltas, so a Get hit is always worth seeding.
-	for _, e := range m.D.Eqs() {
-		if e.IsLeaf() {
-			if du := merged.Get(e.BaseRel); du != nil {
-				rep.Deltas[e.ID] = du
-			}
+	// Seed leaf deltas from the window. Only non-empty deltas reach
+	// merged, so a Get hit is always worth seeding.
+	for _, e := range m.leaves {
+		if du := merged.Get(e.BaseRel); du != nil {
+			rep.Deltas[e.ID] = du
 		}
 	}
 
@@ -192,7 +227,7 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 		d, err := m.opDelta(e, op, rep.Deltas, tr, w, plan.steps[e.ID])
 		if err != nil {
 			prop.Finish()
-			return nil, fmt.Errorf("maintain: %s at %s: %w", bt.Name, e, err)
+			return nil, false, fmt.Errorf("maintain: %s at %s: %w", bt.Name, e, err)
 		}
 		rep.Deltas[e.ID] = d
 		obsDeltaChanges.Observe(int64(len(d.Changes)))
@@ -200,45 +235,36 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 	rep.QueryIO = m.Store.IO.Snapshot().Sub(io0)
 	prop.Finish()
 
+	// The verdict: every delta is known and nothing is written yet.
+	// Propagation's only post-window state is the aggregate views'
+	// pending live counts, which a rejected window must not leave for
+	// the next one to fold in.
+	if reject != nil && reject(rep.Deltas) {
+		for _, e := range tr.Order {
+			if v, ok := m.views[e.ID]; ok {
+				v.pending = nil
+			}
+		}
+		return rep, false, nil
+	}
+
 	// Apply the base relation updates, one batch per relation, BEFORE
-	// the views: the mutation hook stages base deltas for the group
-	// commit, and applying them first lets the commit fsync run
-	// concurrently with view application below. Queries are all done
-	// (propagation finished), so no reader observes the new base state
-	// early. Coalesce sorts by relation name, so the order is
-	// deterministic.
+	// the views: queries are all done (propagation finished), so no
+	// reader observes the new base state early. merged is sorted by
+	// relation name, so the order is deterministic.
 	ab := wt.Child("maintain.apply_base")
 	before := m.Store.IO.Snapshot()
 	for _, rd := range merged {
 		r, ok := m.Store.Get(rd.Rel)
 		if !ok {
 			ab.Finish()
-			return nil, fmt.Errorf("maintain: unknown relation %q", rd.Rel)
+			return nil, false, fmt.Errorf("maintain: unknown relation %q", rd.Rel)
 		}
 		m.mutBuf = rd.Delta.AppendMutations(m.mutBuf[:0])
 		r.ApplyBatch(m.mutBuf)
 	}
 	rep.BaseIO = m.Store.IO.Snapshot().Sub(before)
 	ab.Finish()
-
-	// Legacy group commit (a Committer without BeginWindow): one record,
-	// one fsync for the whole window, overlapped with view application
-	// only (the log reads the base deltas staged by the hook, which are
-	// fully staged by now). A WindowCommitter has been running since
-	// before propagation instead.
-	type commitResult struct {
-		lsn uint64
-		err error
-	}
-	var commit chan commitResult
-	if m.Committer != nil && wait == nil {
-		commit = make(chan commitResult, 1)
-		n := len(txns)
-		go func() {
-			lsn, err := m.Committer.Commit(n)
-			commit <- commitResult{lsn: lsn, err: err}
-		}()
-	}
 
 	// Apply deltas to the materialized views. Sidecar updates ride with
 	// the owning view's worker: they only read the (now fully computed)
@@ -251,25 +277,45 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 		lsn, err := wait()
 		if err != nil {
 			obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 1)
-			return nil, fmt.Errorf("maintain: commit: %w", err)
+			return nil, false, fmt.Errorf("maintain: commit: %w", err)
 		}
 		rep.LSN = lsn
 		obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 0)
 	}
-	if commit != nil {
-		cr := <-commit
-		if cr.err != nil {
-			obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), cr.lsn, 1)
-			return nil, fmt.Errorf("maintain: commit: %w", cr.err)
-		}
-		rep.LSN = cr.lsn
-		obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), cr.lsn, 0)
-	}
 	if verr != nil {
-		return nil, verr
+		return nil, false, verr
 	}
 	m.fireWindowHook(rep.LSN, rep.Size, rep.Deltas)
-	return rep, nil
+	return rep, true, nil
+}
+
+// windowDeltas returns the per-relation deltas a window propagates and
+// applies, sorted by relation name, and the type its track is chosen
+// for. A lone typed transaction keeps its own non-empty deltas and its
+// declared type (gathered into a recycled buffer, sorted by insertion —
+// a transaction touches a handful of relations); any other window is
+// coalesced and gets a synthesized type.
+func (m *Maintainer) windowDeltas(txns []txn.Transaction) (delta.Coalesced, *txn.Type) {
+	if len(txns) == 1 && txns[0].Type != nil {
+		own := m.ownBuf[:0]
+		for rel, d := range txns[0].Updates {
+			if d.Empty() {
+				continue
+			}
+			own = append(own, delta.RelDelta{Rel: rel, Delta: d})
+			for i := len(own) - 1; i > 0 && own[i].Rel < own[i-1].Rel; i-- {
+				own[i], own[i-1] = own[i-1], own[i]
+			}
+		}
+		m.ownBuf = own
+		return own, txns[0].Type
+	}
+	m.winBuf = m.winBuf[:0]
+	for _, t := range txns {
+		m.winBuf = append(m.winBuf, t.Updates)
+	}
+	merged := m.coalescer.Coalesce(m.winBuf)
+	return merged, txn.MergedType(txns, merged)
 }
 
 // viewWork is one view-apply job; the maintainer keeps a recycled
@@ -322,7 +368,7 @@ func (m *Maintainer) applyViews(rep *BatchReport, tr *tracks.Track, parent uint6
 	}
 
 	if workers <= 1 {
-		hist := workerHist(0)
+		hist := m.workerHists(1)[0]
 		for _, w := range work {
 			t0 := time.Now()
 			if d := rep.Deltas[w.v.Eq.ID]; !d.Empty() {
@@ -349,6 +395,7 @@ func (m *Maintainer) applyViews(rep *BatchReport, tr *tracks.Track, parent uint6
 		firstErr error
 		wg       sync.WaitGroup
 	)
+	hists := m.workerHists(workers)
 	jobs := make(chan viewWork)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -356,7 +403,7 @@ func (m *Maintainer) applyViews(rep *BatchReport, tr *tracks.Track, parent uint6
 			defer wg.Done()
 			wsp := obs.Trace.Start("maintain.apply.worker", parent)
 			defer wsp.Finish()
-			hist := workerHist(w)
+			hist := hists[w]
 			// wio is this worker's private counter: the charge paths
 			// mutate it atomically, and nobody else holds a pointer to
 			// it, so the plain copy/Sub below are race-free (see the

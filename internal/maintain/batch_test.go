@@ -124,7 +124,7 @@ func TestApplyBatchEquivalence(t *testing.T) {
 					if ty == nil {
 						continue
 					}
-					if _, err := serial.m.Apply(ty, updates); err != nil {
+					if _, err := serial.m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: updates}}); err != nil {
 						t.Fatalf("window %d: serial %s: %v", w, ty.Name, err)
 					}
 					window = append(window, txn.Transaction{Type: ty, Updates: updates})
@@ -180,7 +180,7 @@ func TestApplyBatchWorkerIOIndependence(t *testing.T) {
 			if ty == nil {
 				continue
 			}
-			if _, err := gen.m.Apply(ty, updates); err != nil {
+			if _, err := gen.m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: updates}}); err != nil {
 				t.Fatal(err)
 			}
 			window = append(window, txn.Transaction{Type: ty, Updates: updates})

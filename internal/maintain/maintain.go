@@ -8,7 +8,6 @@ package maintain
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
@@ -30,9 +29,8 @@ import (
 // update charges are proportional to.
 var obsDeltaChanges = obs.H("maintain.delta.changes")
 
-// obsApplyNs records end-to-end apply latency per window (Apply and
-// ApplyBatch), in nanoseconds — the histogram the benchmark rows report
-// p50/p99 from.
+// obsApplyNs records end-to-end apply latency per window, in
+// nanoseconds — the histogram the benchmark rows report p50/p99 from.
 var obsApplyNs = obs.H("maintain.apply.ns")
 
 // Arena traffic counters: bytes served from blocks retained across
@@ -80,13 +78,12 @@ type View struct {
 // Committer makes a maintenance window durable. The WAL's group commit
 // implements it: Commit drains the deltas staged by the store's
 // mutation hook, frames them as one record covering txns transactions,
-// and fsyncs once, returning the window's LSN. A nil Committer means
-// the engine runs in-memory, exactly as before.
+// and fsyncs once, returning the window's LSN.
 type Committer interface {
 	Commit(txns int) (uint64, error)
 }
 
-// WindowCommitter is an optional Committer upgrade for pipelined group
+// WindowCommitter is the maintainer's committer, for pipelined group
 // commit. ApplyBatch knows a window's net base deltas as soon as it has
 // coalesced them — before any propagation work — so a WindowCommitter
 // starts encoding, writing and fsyncing the window record from that
@@ -105,9 +102,9 @@ type WindowCommitter interface {
 	BeginWindow(w delta.Coalesced, txns int) (wait func() (uint64, error))
 }
 
-// WindowUpdate describes one successfully applied maintenance window
-// (an ApplyBatch window, a single Apply transaction, or a rollback's
-// compensation) as seen by a window hook.
+// WindowUpdate describes one applied maintenance window as seen by a
+// window hook. Rejected windows are never announced: they wrote
+// nothing.
 //
 // Ownership: Deltas is the window report's delta map — arena-backed and
 // recycled, valid ONLY for the duration of the hook call. A hook that
@@ -116,15 +113,15 @@ type WindowCommitter interface {
 // at. The hook runs on the window's goroutine, so heavy work belongs on
 // the consumer's side of a queue, after cloning.
 type WindowUpdate struct {
-	// Seq numbers applied windows on this maintainer, starting at 1.
-	// Rollback compensations get their own sequence number: the feed of
-	// updates is exactly the sequence of state transitions.
+	// Seq numbers applied windows on this maintainer, starting at 1:
+	// the feed of updates is exactly the sequence of state transitions.
 	Seq uint64
 	// LSN is the durability point covering the window (0 in-memory, and
-	// 0 on rollback compensations — the rollback's own commit is driven
-	// by the checker after the hook fires).
+	// 0 when the caller commits after the window — an assertion
+	// checker detaches the committer around its verdict and commits
+	// after the hook fires).
 	LSN uint64
-	// Txns is the window's transaction count (0 for a compensation).
+	// Txns is the window's transaction count.
 	Txns int
 	// Deltas maps equivalence-node IDs to the net change applied at
 	// that node this window. Empty (but non-nil) for windows that
@@ -145,10 +142,10 @@ type Maintainer struct {
 	Cost  *tracks.Costing
 	VS    tracks.ViewSet
 
-	// Committer, when set, is invoked once per applied window (after the
-	// base relations are updated) to make the window durable. ApplyBatch
-	// overlaps the commit fsync with view application.
-	Committer Committer
+	// Committer, when set, makes every applied window durable. ApplyBatch
+	// hands it the window's base deltas before propagation and waits on
+	// its fence before acknowledging. Nil runs the engine in-memory.
+	Committer WindowCommitter
 
 	// Workers bounds the goroutines ApplyBatch uses to apply per-view
 	// deltas to independent materialized views. Zero or one means
@@ -167,27 +164,32 @@ type Maintainer struct {
 	// compares memo-shared propagation against this per-query oracle.
 	DisableMQO bool
 
-	views map[int]*View
-	plans map[string]*trackPlan
-	trees map[int]algebra.Node // memoized query trees per eq node
+	views  map[int]*View
+	leaves []*dag.EqNode // the DAG's base-relation nodes
+	plans  map[string]*trackPlan
+	trees  map[int]algebra.Node // memoized query trees per eq node
+	// vsIDs and vsKey are planFor's recycled view-set key scratch.
+	vsIDs []int
+	vsKey []byte
 
 	// Per-window scratch, reset (not freed) between windows. The arena
 	// backs every tuple propagation derives, which is why a report's
 	// Deltas (and Merged) are documented valid only until the next
-	// Apply/ApplyBatch on this maintainer.
+	// window on this maintainer.
 	arena     value.Arena
 	coalescer delta.Coalescer
 	winBuf    []map[string]*delta.Delta
+	ownBuf    delta.Coalesced
 	mutBuf    []storage.Mutation
 
-	// Cross-window recycled report scratch (DESIGN.md §14): Apply and
-	// ApplyBatch each return the same report object every window, reset
-	// in place — the whole report (not just its Deltas) is valid only
-	// until the next Apply/ApplyBatch on this maintainer.
-	batchRep BatchReport
-	txnRep   Report
-	workBuf  []viewWork
-	winMemo  windowMemo
+	// Cross-window recycled report scratch (DESIGN.md §14): ApplyBatch
+	// returns the same report object every window, reset in place — the
+	// whole report (not just its Deltas) is valid only until the next
+	// window on this maintainer.
+	batchRep   BatchReport
+	workBuf    []viewWork
+	workerHist []*obs.Histogram
+	winMemo    windowMemo
 
 	// Window-causal tracing state. Both fields follow the single-writer
 	// rule: spanParent is set by the dispatching goroutine (a Sharded
@@ -206,11 +208,9 @@ type Maintainer struct {
 
 	// onWindow, when set, observes every applied window at its fence —
 	// after the commit wait and view application, while the report's
-	// deltas are still alive. winSeq numbers those windows; rollbackDel
-	// is the compensation hook's recycled delta map.
-	onWindow    WindowHook
-	winSeq      uint64
-	rollbackDel map[int]*delta.Delta
+	// deltas are still alive. winSeq numbers those windows.
+	onWindow WindowHook
+	winSeq   uint64
 
 	pubArenaReused, pubArenaGrown uint64
 }
@@ -284,9 +284,8 @@ func (m *Maintainer) observeTxnTypes(txns []txn.Transaction, elapsed int64) {
 func (m *Maintainer) SetSpanParent(id uint64) { m.spanParent = id }
 
 // SetWindowHook installs (or, with nil, removes) the window hook: fn is
-// called once per applied window — ApplyBatch window, single Apply
-// transaction, or rollback compensation — at the window fence, after
-// the commit wait and view application succeed. The WindowUpdate's
+// called once per applied window at the window fence, after the commit
+// wait and view application succeed; a rejected window is never seen. The WindowUpdate's
 // delta map is valid only for the duration of the call; see the
 // WindowUpdate ownership contract.
 func (m *Maintainer) SetWindowHook(fn WindowHook) { m.onWindow = fn }
@@ -405,149 +404,6 @@ func (m *Maintainer) Contents(e *dag.EqNode) []storage.Row {
 	return v.Rel.ScanFree()
 }
 
-// Report describes one maintained transaction, with page I/O split the
-// way the paper accounts it: queries posed during delta computation,
-// updates to the additional materialized views, updates to the top-level
-// view(s), and updates to the base relations (the last two are excluded
-// from the paper's §3.6 totals).
-//
-// Lifetime: Apply returns a recycled report — the same object, reset in
-// place, every call — so the report and everything it points at are
-// valid only until the next Apply/ApplyBatch on the maintainer.
-type Report struct {
-	Txn     string
-	Track   *tracks.Track
-	QueryIO storage.IOCounter
-	ViewIO  storage.IOCounter
-	RootIO  storage.IOCounter
-	BaseIO  storage.IOCounter
-	// Deltas holds the computed change at every affected node.
-	Deltas map[int]*delta.Delta
-	// LSN is the log sequence number as of which the transaction is
-	// durable when a Committer is attached (0 otherwise).
-	LSN uint64
-}
-
-// PaperTotal is the quantity §3.6 reports: query I/O plus additional-view
-// maintenance I/O.
-func (r *Report) PaperTotal() int64 { return r.QueryIO.Total() + r.ViewIO.Total() }
-
-// Apply maintains the view set under one transaction: updates maps base
-// relation names to their deltas. The deltas are computed against the
-// pre-update state (queries see old contents), then applied to the views
-// and finally to the base relations, as in the paper's differential
-// formalism (R_old, V_old).
-func (m *Maintainer) Apply(t *txn.Type, updates map[string]*delta.Delta) (*Report, error) {
-	t0 := time.Now()
-	wt := obs.StartWindow("maintain.apply", m.spanParent)
-	m.windowSpan = wt.RootID()
-	obs.Flight().Record(obs.EvWindowOpen, 0, wt.Seq(), 1, wt.RootID())
-	defer func() {
-		wt.Finish()
-		elapsed := time.Since(t0).Nanoseconds()
-		obsApplyNs.Observe(elapsed)
-		if t != nil {
-			m.typeStatFor(t.Name).count.Inc()
-			m.typeStatFor(t.Name).ns.Add(elapsed)
-		}
-		obsTxns.Inc()
-		m.publishArenaStats()
-	}()
-	// Rewind the window arena: tuples from the previous window (held by
-	// its report) are invalidated here, per the window ownership rule.
-	m.arena.Reset()
-	plan, err := m.planFor(t)
-	if err != nil {
-		return nil, err
-	}
-	tr := plan.track
-	rep := &m.txnRep
-	*rep = Report{Txn: t.Name, Track: tr, Deltas: rep.Deltas}
-	if rep.Deltas == nil {
-		rep.Deltas = map[int]*delta.Delta{}
-	} else {
-		clear(rep.Deltas)
-	}
-
-	// Seed leaf deltas.
-	for _, e := range m.D.Eqs() {
-		if e.IsLeaf() {
-			if du, ok := updates[e.BaseRel]; ok && !du.Empty() {
-				rep.Deltas[e.ID] = du
-			}
-		}
-	}
-
-	// Compute deltas bottom-up along the track, charging queries. The
-	// window memo shares answered queries (and repeated subtree
-	// evaluations) across every step of this pass.
-	prop := wt.Child("maintain.propagate")
-	w := m.newWindowMemo()
-	io0 := m.Store.IO.Snapshot()
-	for _, e := range tr.Order {
-		op := tr.Choice[e.ID]
-		d, err := m.opDelta(e, op, rep.Deltas, tr, w, plan.steps[e.ID])
-		if err != nil {
-			prop.Finish()
-			return nil, fmt.Errorf("maintain: %s at %s: %w", t.Name, e, err)
-		}
-		rep.Deltas[e.ID] = d
-		obsDeltaChanges.Observe(int64(len(d.Changes)))
-	}
-	rep.QueryIO = m.Store.IO.Snapshot().Sub(io0)
-	prop.Finish()
-
-	// Apply deltas to materialized views (sidecars first need the child
-	// deltas, which are all computed by now).
-	for _, e := range tr.Order {
-		v, ok := m.views[e.ID]
-		if !ok {
-			continue
-		}
-		if d := rep.Deltas[e.ID]; !d.Empty() {
-			before := m.Store.IO.Snapshot()
-			m.mutBuf = d.AppendMutations(m.mutBuf[:0])
-			v.Rel.ApplyBatch(m.mutBuf)
-			used := m.Store.IO.Snapshot().Sub(before)
-			if m.D.IsRoot(e) {
-				rep.RootIO = addIO(rep.RootIO, used)
-			} else {
-				rep.ViewIO = addIO(rep.ViewIO, used)
-			}
-		}
-		// The sidecar tracks the CHILD's multiplicities, which can change
-		// even when the view's own delta is empty (a duplicate's count
-		// dropping from 2 to 1 leaves a distinct view untouched but must
-		// still be recorded, or the eventual drop to 0 is missed).
-		if err := m.updateSidecar(v, rep.Deltas, tr); err != nil {
-			return nil, err
-		}
-	}
-
-	// Finally apply the base relation updates.
-	before := m.Store.IO.Snapshot()
-	for rel, du := range updates {
-		r, ok := m.Store.Get(rel)
-		if !ok {
-			return nil, fmt.Errorf("maintain: unknown relation %q", rel)
-		}
-		m.mutBuf = du.AppendMutations(m.mutBuf[:0])
-		r.ApplyBatch(m.mutBuf)
-	}
-	rep.BaseIO = m.Store.IO.Snapshot().Sub(before)
-	if m.Committer != nil {
-		lsn, err := m.Committer.Commit(1)
-		if err != nil {
-			obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 1)
-			return nil, fmt.Errorf("maintain: commit: %w", err)
-		}
-		rep.LSN = lsn
-		obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 0)
-	}
-	m.fireWindowHook(rep.LSN, 1, rep.Deltas)
-	return rep, nil
-}
-
 func addIO(a, b storage.IOCounter) storage.IOCounter {
 	return storage.IOCounter{
 		IndexReads:  a.IndexReads + b.IndexReads,
@@ -635,83 +491,6 @@ func markStaleGroups(v *View, own *delta.Delta, nGroupCols int) {
 		mark(c.Old)
 		mark(c.New)
 	}
-}
-
-// Rollback applies the inverse of a report's deltas (views, sidecars and
-// base relations), uncharged; used by assertion checking to reject a
-// violating transaction.
-func (m *Maintainer) Rollback(rep *Report, updates map[string]*delta.Delta) error {
-	unchargedBatch := func(rel *storage.Relation, d *delta.Delta) {
-		was := rel.Resident
-		rel.Resident = true
-		rel.ApplyBatch(inverse(d).ToMutations())
-		rel.Resident = was
-	}
-	for rel, du := range updates {
-		r, ok := m.Store.Get(rel)
-		if !ok {
-			return fmt.Errorf("maintain: unknown relation %q", rel)
-		}
-		unchargedBatch(r, du)
-	}
-	for id, d := range rep.Deltas {
-		v, ok := m.views[id]
-		if !ok || d.Empty() {
-			continue
-		}
-		unchargedBatch(v.Rel, d)
-		inv := inverse(d)
-		switch {
-		case v.aggOp != nil:
-			agg := v.aggOp.Template.(*algebra.Aggregate)
-			child := v.aggOp.Children[0]
-			if cd := rep.Deltas[child.ID]; !cd.Empty() {
-				gc, err := inverse(cd).GroupCounts(agg.GroupBy)
-				if err != nil {
-					return err
-				}
-				for k, n := range gc {
-					v.live[k] += n
-				}
-			}
-		case v.distinctOp != nil:
-			child := v.distinctOp.Children[0]
-			if cd := rep.Deltas[child.ID]; !cd.Empty() {
-				for k, n := range inverse(cd).TupleCounts() {
-					v.live[k] += n
-				}
-			}
-		}
-		_ = inv
-	}
-	// Announce the compensation as its own window: a hook that mirrored
-	// the rejected transaction's deltas must mirror their inverse too,
-	// or downstream state (server snapshots, changefeeds) keeps the
-	// rolled-back change. The inverse deltas are freshly built above the
-	// arena, so the usual call-scoped ownership applies unchanged.
-	if m.onWindow != nil {
-		if m.rollbackDel == nil {
-			m.rollbackDel = map[int]*delta.Delta{}
-		} else {
-			clear(m.rollbackDel)
-		}
-		for id, d := range rep.Deltas {
-			if !d.Empty() {
-				m.rollbackDel[id] = inverse(d)
-			}
-		}
-		m.fireWindowHook(0, 0, m.rollbackDel)
-	}
-	return nil
-}
-
-// inverse swaps insertions and deletions and reverses modifications.
-func inverse(d *delta.Delta) *delta.Delta {
-	out := delta.New(d.Schema)
-	for _, c := range d.Changes {
-		out.Changes = append(out.Changes, delta.Change{Old: c.New, New: c.Old, Count: c.Count})
-	}
-	return out
 }
 
 // Oracle recomputes a materialized node from scratch (uncharged) — the

@@ -12,7 +12,6 @@ import (
 	"repro/internal/rules"
 	"repro/internal/tracks"
 	"repro/internal/txn"
-	"repro/internal/value"
 )
 
 // scenario bundles a paper-size database, the expanded DAG and the
@@ -97,8 +96,8 @@ func (s *scenario) checkDrift(t *testing.T, m *maintain.Maintainer, nodes ...*da
 // 5/2 for {N3}, 16/32 for {N4}.
 func TestMeasuredIOMatchesPaperTables(t *testing.T) {
 	cases := []struct {
-		name            string
-		extra           func(*scenario) []*dag.EqNode
+		name              string
+		extra             func(*scenario) []*dag.EqNode
 		wantEmp, wantDept int64
 	}{
 		{"empty", func(s *scenario) []*dag.EqNode { return nil }, 13, 11},
@@ -112,7 +111,7 @@ func TestMeasuredIOMatchesPaperTables(t *testing.T) {
 			m := s.maintainer(t, extra...)
 
 			ty, up := s.empTxn(t, 3, 4, 250)
-			rep, err := m.Apply(ty, up)
+			rep, err := m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: up}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +122,7 @@ func TestMeasuredIOMatchesPaperTables(t *testing.T) {
 			s.checkDrift(t, m, extra...)
 
 			ty, up = s.deptTxn(t, 7, 123456)
-			rep, err = m.Apply(ty, up)
+			rep, err = m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: up}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +150,7 @@ func TestLongTransactionSequenceStaysConsistent(t *testing.T) {
 
 	apply := func(ty *txn.Type, d *delta.Delta, rel string) {
 		t.Helper()
-		if _, err := m.Apply(ty, map[string]*delta.Delta{rel: d}); err != nil {
+		if _, err := m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: map[string]*delta.Delta{rel: d}}}); err != nil {
 			t.Fatal(err)
 		}
 		s.checkDrift(t, m, s.n3)
@@ -196,7 +195,7 @@ func TestViolationAppearsInRootView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Apply(empT, map[string]*delta.Delta{"Emp": d}); err != nil {
+	if _, err := m.ApplyBatch([]txn.Transaction{{Type: empT, Updates: map[string]*delta.Delta{"Emp": d}}}); err != nil {
 		t.Fatal(err)
 	}
 	rows := m.Contents(s.d.Root)
@@ -212,7 +211,7 @@ func TestViolationAppearsInRootView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Apply(empT, map[string]*delta.Delta{"Emp": d}); err != nil {
+	if _, err := m.ApplyBatch([]txn.Transaction{{Type: empT, Updates: map[string]*delta.Delta{"Emp": d}}}); err != nil {
 		t.Fatal(err)
 	}
 	if rows := m.Contents(s.d.Root); len(rows) != 0 {
@@ -221,53 +220,68 @@ func TestViolationAppearsInRootView(t *testing.T) {
 	s.checkDrift(t, m, s.n3)
 }
 
-// TestRollbackRestoresState: applying a transaction then rolling it back
-// leaves views, sidecars and base relations as before.
-func TestRollbackRestoresState(t *testing.T) {
+// nopCommitter is a WindowCommitter that makes nothing durable.
+type nopCommitter struct{}
+
+func (nopCommitter) Commit(int) (uint64, error) { return 0, nil }
+func (nopCommitter) BeginWindow(delta.Coalesced, int) func() (uint64, error) {
+	return func() (uint64, error) { return 0, nil }
+}
+
+// TestApplyCheckedRejectsBeforeWriting: a rejected window sees every
+// propagated delta, then writes no relation and fires no window hook,
+// yet reports the query I/O its verdict cost. A verdict refuses to run
+// under an attached committer, which would already be logging the
+// window.
+func TestApplyCheckedRejectsBeforeWriting(t *testing.T) {
 	s := newScenario(t, corpus.Config{Departments: 5, EmpsPerDept: 3})
 	m := s.maintainer(t, s.n3)
-	empT := txn.PaperTypes()[0]
+	hooked := 0
+	m.SetWindowHook(func(maintain.WindowUpdate) { hooked++ })
+	emp := s.db.Store.MustGet("Emp")
+	empBefore := emp.ScanFree()
+	for i, r := range empBefore {
+		empBefore[i].Tuple = r.Tuple.Clone()
+	}
+	n3Before := sortedContents(m, s.n3)
 
-	d, err := s.db.EmpSalaryDelta(1, 1, 999_999)
+	ty, up := s.empTxn(t, 1, 1, 999_999)
+	var sawRoot bool
+	rep, applied, err := m.ApplyChecked([]txn.Transaction{{Type: ty, Updates: up}},
+		func(deltas map[int]*delta.Delta) bool {
+			sawRoot = !deltas[s.d.Root.ID].Empty()
+			return true
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := map[string]*delta.Delta{"Emp": d}
-	rep, err := m.Apply(empT, up)
-	if err != nil {
-		t.Fatal(err)
+	if applied || !sawRoot {
+		t.Fatalf("applied=%v, verdict saw the root delta=%v", applied, sawRoot)
 	}
-	if len(m.Contents(s.d.Root)) != 1 {
-		t.Fatal("expected a violation before rollback")
+	if hooked != 0 {
+		t.Errorf("a rejected window fired the hook %d times", hooked)
 	}
-	if err := m.Rollback(rep, up); err != nil {
-		t.Fatal(err)
+	if rep.QueryIO.Total() == 0 || rep.ViewIO.Total()+rep.RootIO.Total()+rep.BaseIO.Total() != 0 {
+		t.Errorf("rejected window I/O: query %v, view %v, root %v, base %v",
+			rep.QueryIO, rep.ViewIO, rep.RootIO, rep.BaseIO)
 	}
-	if got := len(m.Contents(s.d.Root)); got != 0 {
-		t.Fatalf("root view has %d rows after rollback", got)
+	if !rowsEqual(emp.ScanFree(), empBefore) || !rowsEqual(sortedContents(m, s.n3), n3Before) {
+		t.Error("a rejected window wrote a relation")
 	}
 	s.checkDrift(t, m, s.n3)
 
-	// The rolled-back employee must have the original salary.
-	rel := s.db.Store.MustGet("Emp")
-	was := rel.Resident
-	rel.Resident = true
-	rows := rel.Lookup([]string{"EName"}, value.Tuple{value.NewString(corpus.EmpName(1, 1))})
-	rel.Resident = was
-	if len(rows) != 1 || rows[0].Tuple[2].AsInt() != corpus.BaseSalary {
-		t.Errorf("employee not restored: %v", rows)
-	}
-
-	// Applying again after rollback still works and still maintains
-	// consistency.
-	d, err = s.db.EmpSalaryDelta(1, 1, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Apply(empT, map[string]*delta.Delta{"Emp": d}); err != nil {
-		t.Fatal(err)
+	// The same transaction, accepted, goes through.
+	if _, applied, err = m.ApplyChecked([]txn.Transaction{{Type: ty, Updates: up}},
+		func(map[int]*delta.Delta) bool { return false }); err != nil || !applied || hooked != 1 {
+		t.Fatalf("accepted window: applied=%v hooked=%d err=%v", applied, hooked, err)
 	}
 	s.checkDrift(t, m, s.n3)
+
+	m.Committer = nopCommitter{}
+	if _, _, err := m.ApplyChecked([]txn.Transaction{{Type: ty, Updates: up}},
+		func(map[int]*delta.Delta) bool { return false }); err == nil {
+		t.Error("a verdict ran under an attached committer")
+	}
 }
 
 // TestGroupBirthAndDeathThroughEngine: hiring the first employee of a new
@@ -283,9 +297,9 @@ func TestGroupBirthAndDeathThroughEngine(t *testing.T) {
 
 	// Hire into a brand-new department (no Dept row: the join view stays
 	// empty but N3 gains a group).
-	if _, err := m.Apply(hire, map[string]*delta.Delta{
+	if _, err := m.ApplyBatch([]txn.Transaction{{Type: hire, Updates: map[string]*delta.Delta{
 		"Emp": s.db.EmpInsertDelta("solo", "d-new", 500),
-	}); err != nil {
+	}}}); err != nil {
 		t.Fatal(err)
 	}
 	s.checkDrift(t, m, s.n3)
@@ -299,7 +313,7 @@ func TestGroupBirthAndDeathThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Apply(fire, map[string]*delta.Delta{"Emp": d}); err != nil {
+	if _, err := m.ApplyBatch([]txn.Transaction{{Type: fire, Updates: map[string]*delta.Delta{"Emp": d}}}); err != nil {
 		t.Fatal(err)
 	}
 	s.checkDrift(t, m, s.n3)
@@ -323,7 +337,7 @@ func TestEstimatedVsMeasuredAgreeAcrossScales(t *testing.T) {
 
 		ty, up := s.empTxn(t, 1, 1, 500)
 		best, _ := c.CostViewSet(vs, ty)
-		rep, err := m.Apply(ty, up)
+		rep, err := m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: up}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ import (
 //   - shared:   the default pipeline, window memo on;
 //   - unshared: DisableMQO, so every probe is answered per-node from
 //     storage (the per-query oracle the memo claims to equal);
-//   - serial:   per-transaction Apply (no window at all);
+//   - serial:   one window per transaction;
 //
 // and all three must match full recomputation (Drift).
 
@@ -81,7 +81,7 @@ func TestMQOEquivalenceRandom(t *testing.T) {
 					if ty == nil {
 						continue
 					}
-					if _, err := serial.m.Apply(ty, updates); err != nil {
+					if _, err := serial.m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: updates}}); err != nil {
 						t.Fatalf("window %d: serial %s: %v", w, ty.Name, err)
 					}
 					window = append(window, txn.Transaction{Type: ty, Updates: updates})
@@ -282,7 +282,7 @@ func TestMQOEquivalenceSumOfSals(t *testing.T) {
 			if ty == nil {
 				continue
 			}
-			if _, err := serialM.Apply(ty, updates); err != nil {
+			if _, err := serialM.ApplyBatch([]txn.Transaction{{Type: ty, Updates: updates}}); err != nil {
 				t.Fatalf("window %d: serial %s: %v", w, ty.Name, err)
 			}
 			window = append(window, txn.Transaction{Type: ty, Updates: updates})

@@ -29,7 +29,7 @@ func TestMultiRelationTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Apply(both, map[string]*delta.Delta{"Emp": de, "Dept": dd}); err != nil {
+	if _, err := m.ApplyBatch([]txn.Transaction{{Type: both, Updates: map[string]*delta.Delta{"Emp": de, "Dept": dd}}}); err != nil {
 		t.Fatal(err)
 	}
 	s.checkDrift(t, m, s.n3)
@@ -48,7 +48,7 @@ func TestMultiRelationTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Apply(both, map[string]*delta.Delta{"Emp": de, "Dept": dd}); err != nil {
+	if _, err := m.ApplyBatch([]txn.Transaction{{Type: both, Updates: map[string]*delta.Delta{"Emp": de, "Dept": dd}}}); err != nil {
 		t.Fatal(err)
 	}
 	s.checkDrift(t, m, s.n3)
@@ -74,7 +74,7 @@ func TestMultiRelationWithN4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Apply(both, map[string]*delta.Delta{"Emp": de, "Dept": dd}); err != nil {
+	if _, err := m.ApplyBatch([]txn.Transaction{{Type: both, Updates: map[string]*delta.Delta{"Emp": de, "Dept": dd}}}); err != nil {
 		t.Fatal(err)
 	}
 	s.checkDrift(t, m, s.n4)

@@ -63,23 +63,30 @@ func (st *planStep) setArena(a *value.Arena) {
 	}
 }
 
-// viewSetKey canonicalizes a view set for plan invalidation.
-func viewSetKey(vs tracks.ViewSet) string {
-	ids := vs.IDs()
+// viewSetKey canonicalizes the view set for plan invalidation, into
+// scratch recycled across windows (valid until the next call).
+func (m *Maintainer) viewSetKey() []byte {
+	ids := m.vsIDs[:0]
+	for id, ok := range m.VS {
+		if ok {
+			ids = append(ids, id)
+		}
+	}
 	sort.Ints(ids)
-	b := make([]byte, 0, 4*len(ids))
+	b := m.vsKey[:0]
 	for _, id := range ids {
 		b = strconv.AppendInt(b, int64(id), 10)
 		b = append(b, ',')
 	}
-	return string(b)
+	m.vsIDs, m.vsKey = ids, b
+	return b
 }
 
 // planFor returns the compiled plan for t, compiling (or recompiling,
 // when the view set changed) on first use.
 func (m *Maintainer) planFor(t *txn.Type) (*trackPlan, error) {
-	vsk := viewSetKey(m.VS)
-	if p := m.plans[t.Name]; p != nil && p.vsKey == vsk {
+	vsk := m.viewSetKey()
+	if p := m.plans[t.Name]; p != nil && p.vsKey == string(vsk) {
 		return p, nil
 	}
 	best, _ := m.Cost.CostViewSet(m.VS, t)
@@ -91,7 +98,7 @@ func (m *Maintainer) planFor(t *txn.Type) (*trackPlan, error) {
 		track:   tr,
 		queries: best.Queries,
 		shared:  best.SharedQueries(),
-		vsKey:   vsk,
+		vsKey:   string(vsk),
 		steps:   make(map[int]*planStep, len(tr.Order)),
 	}
 	for _, e := range tr.Order {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/maintain"
 	"repro/internal/rules"
 	"repro/internal/tracks"
+	"repro/internal/txn"
 )
 
 // TestRandomizedEndToEnd is the system-level soundness property: for
@@ -57,7 +58,7 @@ func TestRandomizedEndToEnd(t *testing.T) {
 				if ty == nil {
 					continue
 				}
-				if _, err := m.Apply(ty, updates); err != nil {
+				if _, err := m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: updates}}); err != nil {
 					t.Fatalf("step %d (%s) on view %s: %v", step, ty.Name, view.Label(), err)
 				}
 				for _, e := range append([]*dag.EqNode{d.Root}, marked...) {

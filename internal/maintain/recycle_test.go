@@ -157,7 +157,7 @@ func TestRecycledVsFreshDifferential(t *testing.T) {
 					if ty == nil {
 						continue
 					}
-					if _, err := ref.m.Apply(ty, updates); err != nil {
+					if _, err := ref.m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: updates}}); err != nil {
 						t.Fatalf("window %d: reference %s: %v", w, ty.Name, err)
 					}
 					window = append(window, txn.Transaction{Type: ty, Updates: updates})

@@ -53,6 +53,11 @@ func NewRestored(d *dag.DAG, st *storage.Store, model cost.Model, vs tracks.View
 		plans: map[string]*trackPlan{},
 		trees: map[int]algebra.Node{},
 	}
+	for _, e := range d.Eqs() {
+		if e.IsLeaf() {
+			m.leaves = append(m.leaves, e)
+		}
+	}
 	free := exec.NewFree(st)
 	for _, e := range d.NonLeafEqs() {
 		if !vs[e.ID] {

@@ -100,7 +100,7 @@ func TestDiffDistinctThroughEngine(t *testing.T) {
 			}},
 		}
 		for i, s := range steps {
-			if _, err := m.Apply(s.ty, map[string]*delta.Delta{s.rel: s.d()}); err != nil {
+			if _, err := m.ApplyBatch([]txn.Transaction{{Type: s.ty, Updates: map[string]*delta.Delta{s.rel: s.d()}}}); err != nil {
 				t.Fatalf("markAll=%v step %d: %v", markAll, i, err)
 			}
 			drift, err := m.Drift(d.Root)
@@ -126,7 +126,7 @@ func TestUnionThroughEngine(t *testing.T) {
 			"Emp":    db.EmpInsertDelta("u1", corpus.DeptName(1), 42),
 			"ADepts": db.ADeptsInsertDelta(corpus.DeptName(3)),
 		}
-		if _, err := m.Apply(both, updates); err != nil {
+		if _, err := m.ApplyBatch([]txn.Transaction{{Type: both, Updates: updates}}); err != nil {
 			t.Fatalf("markAll=%v: %v", markAll, err)
 		}
 		drift, err := m.Drift(d.Root)

@@ -147,7 +147,7 @@ func TestShardInvariance(t *testing.T) {
 					if ty == nil {
 						continue
 					}
-					if _, err := serial.m.Apply(ty, updates); err != nil {
+					if _, err := serial.m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: updates}}); err != nil {
 						t.Fatalf("window %d: serial %s: %v", w, ty.Name, err)
 					}
 					window = append(window, txn.Transaction{Type: ty, Updates: updates})

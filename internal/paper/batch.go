@@ -119,7 +119,7 @@ func runBatch(cfg corpus.Config, k int, shape int) (int64, error) {
 			}
 			d.Modify(old, newT, 1)
 		}
-		rep, err := m.Apply(ty, map[string]*delta.Delta{"Emp": d})
+		rep, err := m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: map[string]*delta.Delta{"Emp": d}}})
 		if err != nil {
 			return 0, err
 		}
@@ -130,7 +130,7 @@ func runBatch(cfg corpus.Config, k int, shape int) (int64, error) {
 			old, newT := change(0, i, i)
 			d := delta.New(schema)
 			d.Modify(old, newT, 1)
-			rep, err := m.Apply(single, map[string]*delta.Delta{"Emp": d})
+			rep, err := m.ApplyBatch([]txn.Transaction{{Type: single, Updates: map[string]*delta.Delta{"Emp": d}}})
 			if err != nil {
 				return 0, err
 			}

@@ -70,7 +70,7 @@ func SweepBuffer(cfg corpus.Config, capacities []int, nTxns int) ([]BufferRow, s
 				}
 				ty, updates = f.Types[1], map[string]*delta.Delta{"Dept": d}
 			}
-			rep, err := m.Apply(ty, updates)
+			rep, err := m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: updates}})
 			if err != nil {
 				return nil, "", err
 			}

@@ -69,7 +69,7 @@ func MeasuredParity(cfg corpus.Config) ([]MeasuredRow, string, error) {
 				}
 				updates = map[string]*delta.Delta{"Dept": d}
 			}
-			rep, err := m.Apply(ty, updates)
+			rep, err := m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: updates}})
 			if err != nil {
 				return nil, "", err
 			}
@@ -125,7 +125,7 @@ func MeasuredWorkload(cfg corpus.Config, withN3 bool, n int) (int64, error) {
 			}
 			ty, updates = f.Types[1], map[string]*delta.Delta{"Dept": d}
 		}
-		rep, err := m.Apply(ty, updates)
+		rep, err := m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: updates}})
 		if err != nil {
 			return 0, err
 		}

@@ -230,14 +230,16 @@ func appendSaleID(b []byte, seq int) []byte {
 }
 
 // Run executes n transactions of the workload in windows of size batch
-// (batch <= 1 takes the per-transaction Apply path — the baseline the
-// pipeline is measured against) and returns the page I/Os charged.
+// (batch <= 1 runs windows of one, each transaction freshly drawn — the
+// per-transaction baseline the pipeline is measured against) and
+// returns the page I/Os charged.
 func (th *Throughput) Run(n, batch int) (storage.IOCounter, error) {
 	io0 := th.db.Store.IO.Snapshot()
 	if batch <= 1 {
+		one := make([]txn.Transaction, 1)
 		for i := 0; i < n; i++ {
-			t := th.nextTxn()
-			if _, err := th.m.Apply(t.Type, t.Updates); err != nil {
+			one[0] = th.nextTxn()
+			if _, err := th.m.ApplyBatch(one); err != nil {
 				return storage.IOCounter{}, err
 			}
 		}
@@ -287,7 +289,7 @@ type ThroughputRow struct {
 	Txns          int     `json:"txns"`
 	TxnsPerSec    float64 `json:"txns_per_sec"`
 	IOPerTxn      float64 `json:"page_io_per_txn"`
-	// Apply-latency quantiles (nanoseconds per Apply/ApplyBatch call)
+	// Apply-latency quantiles (nanoseconds per ApplyBatch call)
 	// from the maintain.apply.ns histogram, restricted to this run's
 	// window. Power-of-two bucket resolution.
 	ApplyP50Ns uint64 `json:"apply_p50_ns"`

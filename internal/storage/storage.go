@@ -816,13 +816,14 @@ type slotList struct {
 }
 
 // slotGrace is how many ApplyBatch fences a freed slot must age before
-// an insert may harvest it. Two fences cover every sanctioned holder of
-// a dead tuple: deltas computed in a window's propagation are consumed
-// by that window's applies (one fence), and a rejecting rollback
-// replays inverse deltas whose tuples alias slots the forward apply
-// just freed (a second fence on the same relation). Anything older is
-// dead under the window ownership rule.
-const slotGrace = 2
+// an insert may harvest it. One fence covers every sanctioned holder of
+// a dead tuple: a window applies one batch per relation, and the deltas
+// that batch reads — computed by the window's propagation, possibly
+// aliasing this relation's stored tuples — die with the window, so a
+// slot freed by one batch is safe to reuse from the relation's next
+// batch on. Anything older is dead under the window ownership rule. A
+// rejected window applies nothing and frees nothing.
+const slotGrace = 1
 
 // allocTuple places t's stored copy, preferring a same-arity slab slot
 // harvested from an aged dead entry over the bump allocator:

@@ -17,8 +17,8 @@ import (
 // the window — stored relation state, sidecar entries, anything keyed
 // into a long-lived map — must be cloned out first (storage does this on
 // first insert). The methods are nil-receiver safe and fall back to
-// plain make, so code paths that run without a window arena (per-txn
-// Apply, tests, oracles) need no branches.
+// plain make, so code paths that run without a window arena (tests,
+// oracles) need no branches.
 //
 // Arenas are not safe for concurrent use; the per-worker apply path
 // gives each worker its own.

@@ -99,8 +99,8 @@ func (c *Collector) Hook(r *storage.Relation, batch []storage.Mutation) {
 }
 
 // Drain returns the staged deltas and resets the stage. The caller
-// coalesces them: a transaction applied and rolled back inside one
-// window (ic Reject mode) annihilates to nothing and is never logged.
+// coalesces them, so changes that cancel within the stage are never
+// logged.
 //
 // The returned map is recycled: it is valid until the NEXT Drain, at
 // which point its deltas are truncated in place for restaging. The

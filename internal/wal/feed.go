@@ -20,8 +20,8 @@ import (
 // The on-disk format reuses the WAL's segment layout (header, CRC32C
 // frames, contiguous sequence numbers, torn-tail truncation on open),
 // so scanSegment is the single scanner for both logs. The frame's
-// transaction-count slot carries txns+1: rollback compensations cover
-// zero transactions, and the scanner treats a zero count as a torn
+// transaction-count slot carries txns+1: the window hook admits windows
+// of zero transactions, and the scanner treats a zero count as a torn
 // record. The body is feed-specific:
 //
 //	body = uvarint windowSeq | uvarint walLSN | encoded window
@@ -63,9 +63,10 @@ type FeedRecord struct {
 	// entry; it can skip values the feed never saw (empty windows).
 	WindowSeq uint64
 	// LSN is the primary WAL durability point covering the window (0
-	// for in-memory systems and rollback compensations).
+	// for in-memory systems, and for windows committed after the hook
+	// fires, as an assertion checker's are).
 	LSN uint64
-	// Txns is the window's transaction count (0 for a compensation).
+	// Txns is the window's transaction count.
 	Txns int
 	// Views holds the per-view net deltas, sorted by view name.
 	Views delta.Coalesced

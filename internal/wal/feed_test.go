@@ -24,7 +24,7 @@ func feedWindow(schema *catalog.Schema, i int) delta.Coalesced {
 }
 
 // TestFeedLogRoundTrip appends records across a reopen and replays them
-// back, including rollback compensations (txns=0), which the segment
+// back, including a window of zero transactions (txns=0), which the segment
 // format reserves as an invalid frame marker and the feed log must
 // therefore bias around.
 func TestFeedLogRoundTrip(t *testing.T) {
@@ -39,7 +39,7 @@ func TestFeedLogRoundTrip(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		txns := i
 		if i == 2 {
-			txns = 0 // a rollback compensation window
+			txns = 0 // a window of zero transactions
 		}
 		seq, err := f.Append(uint64(i), uint64(100+i), txns, feedWindow(schema, i))
 		if err != nil {

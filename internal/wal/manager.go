@@ -116,8 +116,8 @@ func (g *Manager) uninstall() {
 // Committer is the maintain.Committer identity of a Manager.
 type Committer = maintain.Committer
 
-// Manager commits both ways: legacy drain-and-fsync (Commit) and
-// pipelined (BeginWindow).
+// Manager commits both ways: drain-and-fsync of the staged deltas
+// (Commit) and pipelined from a window's deltas (BeginWindow).
 var _ maintain.WindowCommitter = (*Manager)(nil)
 
 // LastLSN returns the LSN of the last committed window.
@@ -150,10 +150,11 @@ func (g *Manager) Sync() (uint64, error) {
 }
 
 // Commit implements maintain.Committer: it drains the deltas the
-// mutation hook staged since the previous commit, coalesces them (an
-// applied-then-rolled-back transaction annihilates and is never
-// logged), and makes the window durable with one fsync. Empty windows
-// write nothing and return the current durability point. In deferred-
+// mutation hook staged since the previous commit, coalesces them, and
+// makes the window durable with one fsync. Empty windows — a window
+// that netted to nothing, or a transaction an assertion rejected, which
+// staged nothing — write nothing and return the current durability
+// point. In deferred-
 // fence mode the in-flight chain is drained first, so an explicit
 // Commit is always a full durability point.
 func (g *Manager) Commit(txns int) (uint64, error) {

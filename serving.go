@@ -130,7 +130,7 @@ func (sv *Serving) execStatement(stmt string) (server.ExecResult, error) {
 // under the serving lock — the programmatic sibling of POST /txn for
 // in-process writers (benchmarks, the shell) that share a Serving with
 // HTTP traffic.
-func (sv *Serving) ExecuteTxn(t *txn.Type, updates map[string]*delta.Delta) (*maintain.Report, error) {
+func (sv *Serving) ExecuteTxn(t *txn.Type, updates map[string]*delta.Delta) (*maintain.BatchReport, error) {
 	sv.execMu.Lock()
 	defer sv.execMu.Unlock()
 	out, err := sv.sys.ExecuteTxn(t, updates)

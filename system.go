@@ -80,9 +80,6 @@ type Config struct {
 	Rules []dag.Rule
 	// MaxOps caps DAG expansion (default 512 operation nodes).
 	MaxOps int
-	// RejectViolations rolls back transactions that violate assertions
-	// (default true when any assertion is included).
-	RejectViolations bool
 	// Parallelism is the worker count for the Parallel method
 	// (0 = GOMAXPROCS). The chosen view set is identical at any setting.
 	Parallelism int
@@ -136,16 +133,12 @@ func (db *DB) Build(names []string, cfg Config) (*System, error) {
 		cfg.MaxOps = 512
 	}
 	trees := make([]algebra.Node, len(names))
-	hasAssertion := false
 	for i, n := range names {
 		tree, ok := db.View(n)
 		if !ok {
 			return nil, fmt.Errorf("mvmaint: unknown view or assertion %q", n)
 		}
 		trees[i] = tree
-		if db.IsAssertion(n) {
-			hasAssertion = true
-		}
 	}
 	d, err := dag.FromTrees(trees...)
 	if err != nil {
@@ -186,14 +179,7 @@ func (db *DB) Build(names []string, cfg Config) (*System, error) {
 			assertions = append(assertions, ic.Assertion{Name: n, View: eq})
 		}
 	}
-	mode := ic.Report
-	if cfg.RejectViolations || hasAssertion {
-		mode = ic.Reject
-	}
-	if !cfg.RejectViolations && !hasAssertion {
-		mode = ic.Report
-	}
-	checker, err := ic.New(m, mode, assertions...)
+	checker, err := ic.New(m, assertions...)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +316,7 @@ func (s *System) Reoptimize(cfg Config) (changed bool, err error) {
 			}
 		}
 	}
-	checker, err := ic.New(m, s.Checker.Mode, assertions...)
+	checker, err := ic.New(m, assertions...)
 	if err != nil {
 		return false, err
 	}
