@@ -34,6 +34,7 @@ type txnFlags []string
 
 // String implements flag.Value.
 func (t *txnFlags) String() string { return strings.Join(*t, ",") }
+
 // Set implements flag.Value.
 func (t *txnFlags) Set(s string) error {
 	*t = append(*t, s)

@@ -48,11 +48,11 @@ func TestParseTxn(t *testing.T) {
 func TestParseTxnErrors(t *testing.T) {
 	bad := []string{
 		"",
-		"modify:Emp",            // too short
-		"modify:Emp:1:1",        // missing cols for modify
-		"upsert:Emp:1:1",        // unknown kind
-		"insert:Emp:abc:1",      // bad size
-		"insert:Emp:1:xyz",      // bad weight
+		"modify:Emp",       // too short
+		"modify:Emp:1:1",   // missing cols for modify
+		"upsert:Emp:1:1",   // unknown kind
+		"insert:Emp:abc:1", // bad size
+		"insert:Emp:1:xyz", // bad weight
 	}
 	for _, spec := range bad {
 		if _, err := parseTxn(spec); err == nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
-	"repro/internal/catalog"
-	"repro/internal/expr"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -40,21 +38,6 @@ func Decomposable(specs []algebra.AggSpec, d *Delta) bool {
 		}
 	}
 	return true
-}
-
-// AggregateIncremental maintains an aggregate from the materialized old
-// values alone (the paper's SumOfSals trick: "adding to or subtracting
-// from the previous aggregate values"). It requires Decomposable.
-//
-// It returns the output delta and the new live counts per group key
-// (value.Tuple.Key() form), which the caller persists alongside the view
-// to detect group emptiness.
-func AggregateIncremental(a *algebra.Aggregate, d *Delta, oldAgg OldAgg) (*Delta, map[string]int64, error) {
-	p, err := CompileAggregate(a, d.Schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.Incremental(d, oldAgg)
 }
 
 // acc accumulates one group's signed contributions within a window.
@@ -111,13 +94,15 @@ func (p *AggregatePlan) getAcc(t value.Tuple) *acc {
 	return g
 }
 
-// Incremental is the compiled form of AggregateIncremental: the group-by
-// positions and argument accessors come from the plan instead of being
-// re-resolved per call, and the per-group accumulators live in plan
+// Incremental maintains the aggregate from the materialized old values
+// alone (the paper's SumOfSals trick: "adding to or subtracting from
+// the previous aggregate values"), using the plan's group-by positions
+// and compiled arguments; the per-group accumulators live in plan
 // scratch reused across windows. It requires Decomposable for this
-// delta. The output delta is valid until the next Incremental on this
-// plan (or arena reset); newLive is freshly allocated (it is persisted
-// by the caller into the view's sidecar).
+// delta. It returns the output delta, valid until the next Incremental
+// or Full on this plan (or arena reset), and the new live counts per
+// group key (value.Tuple.Key() form), freshly allocated: the caller
+// persists them in the view's sidecar to detect group emptiness.
 func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, map[string]int64, error) {
 	a, gpos, argFns := p.a, p.gpos, p.argFns
 	if !Decomposable(a.Aggs, d) {
@@ -133,11 +118,11 @@ func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, map[string
 			case algebra.Count:
 				if ag.Arg == nil {
 					g.counts[i] += n
-				} else if !argFns[i](t).IsNull() {
+				} else if !argFns[i].Eval(t).IsNull() {
 					g.counts[i] += n
 				}
 			case algebra.Sum:
-				v := argFns[i](t)
+				v := argFns[i].Eval(t)
 				if v.IsNull() {
 					continue
 				}
@@ -149,7 +134,7 @@ func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, map[string
 					}
 				}
 			case algebra.Min:
-				v := argFns[i](t)
+				v := argFns[i].Eval(t)
 				if v.IsNull() {
 					continue
 				}
@@ -157,7 +142,7 @@ func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, map[string
 					g.mins[i] = v
 				}
 			case algebra.Max:
-				v := argFns[i](t)
+				v := argFns[i].Eval(t)
 				if v.IsNull() {
 					continue
 				}
@@ -235,34 +220,28 @@ func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, map[string
 	return out, newLive, nil
 }
 
-// AggregateFull recomputes each affected group from its pre-update rows
+// Full recomputes each affected group from its pre-update rows
 // (supplied by oldGroup — a query on the child, or GroupRowsFromDelta
-// when the delta covers whole groups) plus the delta.
-func AggregateFull(a *algebra.Aggregate, d *Delta, oldGroup func(value.Tuple) ([]storage.Row, error)) (*Delta, error) {
-	in := d.Schema
-	gpos := make([]int, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		j, err := in.Resolve(g)
-		if err != nil {
-			return nil, err
-		}
-		gpos[i] = j
-	}
-	keys, err := d.AffectedKeys(a.GroupBy)
+// when the delta covers whole groups) plus the delta, folding both
+// states with algebra.Acc over the plan's compiled arguments. The
+// result is valid until the next Incremental or Full on this plan (or
+// arena reset).
+func (p *AggregatePlan) Full(d *Delta, oldGroup func(value.Tuple) ([]storage.Row, error)) (*Delta, error) {
+	keys, err := d.AffectedKeys(p.a.GroupBy)
 	if err != nil {
 		return nil, err
 	}
-	out := New(a.Schema())
+	out := resetOut(&p.outD, p.out)
 	for _, gk := range keys {
 		oldRows, err := oldGroup(gk)
 		if err != nil {
 			return nil, err
 		}
 		// Restrict the delta to this group.
-		sub := New(in)
+		sub := New(d.Schema)
 		for _, c := range d.Changes {
-			oldIn := c.Old != nil && c.Old.Project(gpos).Equal(gk)
-			newIn := c.New != nil && c.New.Project(gpos).Equal(gk)
+			oldIn := c.Old != nil && c.Old.Project(p.gpos).Equal(gk)
+			newIn := c.New != nil && c.New.Project(p.gpos).Equal(gk)
 			switch {
 			case oldIn && newIn:
 				sub.Changes = append(sub.Changes, c)
@@ -272,15 +251,8 @@ func AggregateFull(a *algebra.Aggregate, d *Delta, oldGroup func(value.Tuple) ([
 				sub.Insert(c.New, c.Count)
 			}
 		}
-		newRows := ApplyTo(oldRows, sub)
-		oldTuple, oldOK, err := aggregateGroup(a, in, gk, oldRows)
-		if err != nil {
-			return nil, err
-		}
-		newTuple, newOK, err := aggregateGroup(a, in, gk, newRows)
-		if err != nil {
-			return nil, err
-		}
+		oldTuple, oldOK := p.fold(gk, oldRows)
+		newTuple, newOK := p.fold(gk, ApplyTo(oldRows, sub))
 		switch {
 		case oldOK && newOK:
 			out.Modify(oldTuple, newTuple, 1)
@@ -293,70 +265,30 @@ func AggregateFull(a *algebra.Aggregate, d *Delta, oldGroup func(value.Tuple) ([
 	return out, nil
 }
 
-// aggregateGroup computes the output tuple for one group over the given
-// child rows; ok is false when the group is empty.
-func aggregateGroup(a *algebra.Aggregate, in *catalog.Schema, gk value.Tuple, rows []storage.Row) (value.Tuple, bool, error) {
+// fold computes the output tuple for one group over the given child
+// rows; ok is false when the group is empty.
+func (p *AggregatePlan) fold(gk value.Tuple, rows []storage.Row) (value.Tuple, bool) {
 	var total int64
 	for _, r := range rows {
 		total += r.Count
 	}
 	if total <= 0 {
-		return nil, false, nil
+		return nil, false
 	}
-	out := make(value.Tuple, 0, len(gk)+len(a.Aggs))
-	out = append(out, gk...)
-	for _, ag := range a.Aggs {
+	out := p.arena.NewTuple(len(gk) + len(p.a.Aggs))
+	copy(out, gk)
+	for i, ag := range p.a.Aggs {
+		var acc algebra.Acc
 		if ag.Arg == nil { // COUNT(*)
-			out = append(out, value.NewInt(total))
-			continue
-		}
-		f, err := expr.CompileFast(ag.Arg, in)
-		if err != nil {
-			return nil, false, err
-		}
-		sum := value.NewInt(0)
-		var count int64
-		var minV, maxV value.Value
-		for _, r := range rows {
-			v := f(r.Tuple)
-			if v.IsNull() {
-				continue
-			}
-			for j := int64(0); j < r.Count; j++ {
-				sum = value.Add(sum, v)
-			}
-			count += r.Count
-			if minV.IsNull() || value.Compare(v, minV) < 0 {
-				minV = v
-			}
-			if maxV.IsNull() || value.Compare(v, maxV) > 0 {
-				maxV = v
+			acc.AddRows(total)
+		} else {
+			for _, r := range rows {
+				acc.Add(p.argFns[i].Eval(r.Tuple), r.Count)
 			}
 		}
-		switch ag.Func {
-		case algebra.Sum:
-			if count == 0 {
-				out = append(out, value.NewNull())
-			} else {
-				out = append(out, sum)
-			}
-		case algebra.Count:
-			out = append(out, value.NewInt(count))
-		case algebra.Avg:
-			if count == 0 {
-				out = append(out, value.NewNull())
-			} else {
-				out = append(out, value.NewFloat(sum.AsFloat()/float64(count)))
-			}
-		case algebra.Min:
-			out = append(out, minV)
-		case algebra.Max:
-			out = append(out, maxV)
-		default:
-			return nil, false, fmt.Errorf("delta: unsupported aggregate %s", ag.Func)
-		}
+		out[len(gk)+i] = acc.Final(ag.Func)
 	}
-	return out, true, nil
+	return out, true
 }
 
 func abs64(n int64) int64 {

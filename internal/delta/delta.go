@@ -13,6 +13,12 @@
 // callers supply that state through probe callbacks, which is where the
 // paper's "queries posed on equivalence nodes" happen. The delta package
 // itself performs no I/O.
+//
+// Selection, projection, join and aggregation propagate through
+// compiled plans (CompileSelect, CompileProject, CompileJoin,
+// CompileAggregate), built once per operation node and replayed every
+// window; distinct, union and difference have no compile-time state and
+// propagate through plain functions.
 package delta
 
 import (

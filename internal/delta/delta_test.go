@@ -85,14 +85,18 @@ func TestSelectPropagation(t *testing.T) {
 		expr.Compare(expr.GT, expr.C("Emp.Salary"), expr.IntLit(150)), emp)
 
 	d := delta.New(emp.Schema())
-	d.Insert(empTuple(0, 9, 200), 1)            // passes
-	d.Insert(empTuple(0, 8, 100), 1)            // fails
-	d.Delete(empTuple(1, 0, 100), 1)            // fails -> dropped
+	d.Insert(empTuple(0, 9, 200), 1)                      // passes
+	d.Insert(empTuple(0, 8, 100), 1)                      // fails
+	d.Delete(empTuple(1, 0, 100), 1)                      // fails -> dropped
 	d.Modify(empTuple(2, 0, 100), empTuple(2, 0, 300), 1) // crosses up -> insert
 	d.Modify(empTuple(2, 1, 300), empTuple(2, 1, 100), 1) // crosses down -> delete
 	d.Modify(empTuple(2, 2, 200), empTuple(2, 2, 300), 1) // stays in -> modify
 
-	out, err := delta.Select(sel, d)
+	sp, err := delta.CompileSelect(sel, d.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sp.Apply(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +124,11 @@ func TestProjectPropagationDropsNoOps(t *testing.T) {
 	d := delta.New(emp.Schema())
 	// Salary-only change: projection onto DName makes it a no-op.
 	d.Modify(empTuple(0, 0, 100), empTuple(0, 0, 999), 1)
-	out, err := delta.Project(proj, d)
+	pp, err := delta.CompileProject(proj, d.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := pp.Apply(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +156,11 @@ func TestJoinSidePropagation(t *testing.T) {
 	d.Modify(empTuple(2, 0, 100), empTuple(2, 0, 400), 1)
 
 	probe := storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"})
-	got, err := delta.JoinSide(join, d, 0, probe)
+	jp, err := delta.CompileJoinSide(join, 0, d.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := jp.Apply(d, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +194,11 @@ func TestJoinSideKeyChange(t *testing.T) {
 	d := delta.New(join.L.Schema())
 	d.Modify(old, moved, 1)
 
-	got, err := delta.JoinSide(join, d, 0, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
+	jp, err := delta.CompileJoinSide(join, 0, d.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := jp.Apply(d, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +244,11 @@ func TestJoinBothSides(t *testing.T) {
 	dr := delta.New(deptSchema)
 	dr.Modify(oldDept, newDept, 1)
 
-	got, err := delta.JoinBoth(join, dl, dr,
+	jp, err := delta.CompileJoin(join, dl.Schema, dr.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := jp.ApplyBoth(dl, dr,
 		storeProbe(db.Store.MustGet("Emp"), []string{"Emp.DName"}),
 		storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
 	if err != nil {
@@ -263,7 +283,11 @@ func TestAggregateIncrementalSumTrick(t *testing.T) {
 	d.Insert(empTuple(1, 9, 70), 1)                       // +70 to d1
 	d.Delete(empTuple(2, 0, 100), 1)                      // -100 to d2
 
-	got, live, err := delta.AggregateIncremental(sum, d, oldAgg)
+	ap, err := delta.CompileAggregate(sum, d.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, live, err := ap.Incremental(d, oldAgg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +325,11 @@ func TestAggregateIncrementalGroupBirthAndDeath(t *testing.T) {
 		d.Delete(empTuple(3, j, 100), 1)
 	}
 
-	got, live, err := delta.AggregateIncremental(sum, d, oldAgg)
+	ap, err := delta.CompileAggregate(sum, d.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, live, err := ap.Incremental(d, oldAgg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +394,11 @@ func TestAggregateFullMatchesOracle(t *testing.T) {
 		rel.Resident = was
 		return rows, nil
 	}
-	got, err := delta.AggregateFull(agg, d, oldGroup)
+	ap, err := delta.CompileAggregate(agg, d.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ap.Full(d, oldGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +440,11 @@ func TestAggregateFullFromCoveredDelta(t *testing.T) {
 	dDept := delta.New(join.R.Schema())
 	dDept.Modify(oldDept, newDept, 1)
 
-	joinDelta, err := delta.JoinSide(join, dDept, 1, storeProbe(db.Store.MustGet("Emp"), []string{"Emp.DName"}))
+	jp, err := delta.CompileJoinSide(join, 1, dDept.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joinDelta, err := jp.Apply(dDept, storeProbe(db.Store.MustGet("Emp"), []string{"Emp.DName"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +452,11 @@ func TestAggregateFullFromCoveredDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := delta.AggregateFull(agg, joinDelta, oldGroup)
+	ap, err := delta.CompileAggregate(agg, joinDelta.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ap.Full(joinDelta, oldGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,10 +483,10 @@ func TestDistinctPropagation(t *testing.T) {
 	countOf := func(t value.Tuple) (int64, error) { return counts[t.Key()], nil }
 
 	d := delta.New(proj.Schema())
-	d.Insert(value.Tuple{value.NewString("d-new")}, 1)                 // fresh -> insert
-	d.Insert(value.Tuple{value.NewString(corpus.DeptName(0))}, 1)      // existing -> no-op
-	d.Delete(value.Tuple{value.NewString(corpus.DeptName(1))}, 1)      // 3-1=2 left -> no-op
-	d.Delete(value.Tuple{value.NewString(corpus.DeptName(2))}, 3)      // all gone -> delete
+	d.Insert(value.Tuple{value.NewString("d-new")}, 1)            // fresh -> insert
+	d.Insert(value.Tuple{value.NewString(corpus.DeptName(0))}, 1) // existing -> no-op
+	d.Delete(value.Tuple{value.NewString(corpus.DeptName(1))}, 1) // 3-1=2 left -> no-op
+	d.Delete(value.Tuple{value.NewString(corpus.DeptName(2))}, 3) // all gone -> delete
 
 	out, err := delta.Distinct(dis, d, countOf)
 	if err != nil {
@@ -516,7 +556,7 @@ func TestUnionSidePassthrough(t *testing.T) {
 	u := algebra.NewUnion(emp, emp)
 	d := delta.New(emp.Schema())
 	d.Insert(empTuple(0, 9, 1), 1)
-	out := delta.UnionSide(u, d)
+	out := delta.Union(u, d)
 	if len(out.Changes) != 1 || !out.Changes[0].IsInsert() {
 		t.Errorf("union delta = %v", out.Changes)
 	}
@@ -601,7 +641,11 @@ func TestRandomizedJoinAggPipeline(t *testing.T) {
 			}
 		}
 
-		joinDelta, err := delta.JoinSide(join, d, 0, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
+		jp, err := delta.CompileJoinSide(join, 0, d.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joinDelta, err := jp.Apply(d, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -615,7 +659,11 @@ func TestRandomizedJoinAggPipeline(t *testing.T) {
 			}
 			return res.Rows, nil
 		}
-		aggDelta, err := delta.AggregateFull(agg, joinDelta, oldGroup)
+		ap, err := delta.CompileAggregate(agg, joinDelta.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggDelta, err := ap.Full(joinDelta, oldGroup)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -165,7 +165,11 @@ func FuzzDeltaApply(f *testing.F) {
 				d.Changes, mergedEmp.Changes, d.Normalize().Changes)
 		}
 
-		joinDelta, err := delta.JoinSide(join, d, 0, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
+		jp, err := delta.CompileJoinSide(join, 0, d.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joinDelta, err := jp.Apply(d, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +181,11 @@ func FuzzDeltaApply(f *testing.F) {
 			}
 			return res.Rows, nil
 		}
-		aggDelta, err := delta.AggregateFull(agg, joinDelta, oldGroup)
+		ap, err := delta.CompileAggregate(agg, joinDelta.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aggDelta, err := ap.Full(joinDelta, oldGroup)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,24 +9,23 @@ import (
 	"repro/internal/value"
 )
 
-// Compiled propagation plans: the compile-once/apply-many split of the
-// per-operator delta functions. Select/Project/JoinSide resolve column
-// positions and compile predicates against the child schema every call;
-// along a cached update track those are the same schema and the same
-// expressions window after window, so the maintenance runtime compiles
-// each step once per (view set, transaction type) and replays it with
-// zero per-window schema resolution or predicate compilation. Plans own
-// their scratch buffers (KeyEncoder, probe cache, output delta), so one
-// plan must not be applied concurrently — matching the single-threaded
-// propagation pass that uses them.
+// Compiled propagation plans: the per-operator delta rules of §3, one
+// plan per operation node. Column positions are resolved and
+// predicates, residuals, projections and aggregate arguments are
+// compiled to expr.Prog once per (view set, transaction type); along a
+// cached update track the plan is replayed window after window with no
+// schema resolution or expression compilation. Plans own their scratch
+// buffers (KeyEncoder, probe cache, output delta, compiled programs),
+// so one plan must not be applied concurrently — matching the
+// single-threaded propagation pass that uses them.
 //
 // Allocation discipline: each plan reuses a single output Delta across
 // Apply calls, and (when an arena is attached via SetArena) bump-
 // allocates derived tuples from the caller's per-window arena. The
 // returned *Delta and its tuples are therefore valid only until the
 // plan's next Apply / the arena's next Reset — the "no tuple escapes
-// its window" rule. Callers that need longer-lived results (one-shot
-// helpers, tests) use plans without an arena and copy what they keep.
+// its window" rule. Callers that need longer-lived results (tests) use
+// plans without an arena and copy what they keep.
 
 // reset prepares a plan-owned output delta for reuse.
 func resetOut(d *Delta, s *catalog.Schema) *Delta {
@@ -38,26 +37,28 @@ func resetOut(d *Delta, s *catalog.Schema) *Delta {
 // SelectPlan is a compiled Select propagation step.
 type SelectPlan struct {
 	sel  *algebra.Select
-	pred func(value.Tuple) value.Value
+	pred *expr.Prog
 	outD Delta
 }
 
 // CompileSelect compiles sel's predicate against the child schema.
 func CompileSelect(sel *algebra.Select, in *catalog.Schema) (*SelectPlan, error) {
-	f, err := expr.CompileFast(sel.Pred, in)
+	f, err := expr.CompileProg(sel.Pred, in)
 	if err != nil {
 		return nil, err
 	}
 	return &SelectPlan{sel: sel, pred: f}, nil
 }
 
-// Apply propagates d through the compiled selection. The result is
-// valid until the next Apply on this plan.
+// Apply propagates d through the compiled selection: changes whose
+// tuples fail the predicate are dropped or downgraded (a modification
+// that crosses the predicate boundary becomes an insertion or
+// deletion). The result is valid until the next Apply on this plan.
 func (p *SelectPlan) Apply(d *Delta) (*Delta, error) {
 	out := resetOut(&p.outD, d.Schema)
 	for _, c := range d.Changes {
-		oldIn := c.Old != nil && p.pred(c.Old).Truth()
-		newIn := c.New != nil && p.pred(c.New).Truth()
+		oldIn := c.Old != nil && p.pred.Truth(c.Old)
+		newIn := c.New != nil && p.pred.Truth(c.New)
 		switch {
 		case oldIn && newIn:
 			out.Modify(c.Old, c.New, c.Count)
@@ -73,7 +74,7 @@ func (p *SelectPlan) Apply(d *Delta) (*Delta, error) {
 // ProjectPlan is a compiled Project propagation step.
 type ProjectPlan struct {
 	p     *algebra.Project
-	fs    []func(value.Tuple) value.Value
+	fs    []*expr.Prog
 	out   *catalog.Schema
 	arena *value.Arena
 	outD  Delta
@@ -81,9 +82,9 @@ type ProjectPlan struct {
 
 // CompileProject compiles p's items against the child schema.
 func CompileProject(p *algebra.Project, in *catalog.Schema) (*ProjectPlan, error) {
-	fs := make([]func(value.Tuple) value.Value, len(p.Items))
+	fs := make([]*expr.Prog, len(p.Items))
 	for i, it := range p.Items {
-		f, err := expr.CompileFast(it.E, in)
+		f, err := expr.CompileProg(it.E, in)
 		if err != nil {
 			return nil, err
 		}
@@ -95,8 +96,10 @@ func CompileProject(p *algebra.Project, in *catalog.Schema) (*ProjectPlan, error
 // SetArena attaches a per-window arena for output tuples.
 func (p *ProjectPlan) SetArena(a *value.Arena) { p.arena = a }
 
-// Apply propagates d through the compiled projection. The result is
-// valid until the next Apply on this plan (or arena reset).
+// Apply propagates d through the compiled projection. Modifications
+// whose old and new tuples collapse to the same projected tuple are
+// dropped. The result is valid until the next Apply on this plan (or
+// arena reset).
 func (p *ProjectPlan) Apply(d *Delta) (*Delta, error) {
 	apply := func(t value.Tuple) value.Tuple {
 		if t == nil {
@@ -104,7 +107,7 @@ func (p *ProjectPlan) Apply(d *Delta) (*Delta, error) {
 		}
 		out := p.arena.NewTuple(len(p.fs))
 		for i, f := range p.fs {
-			out[i] = f(t)
+			out[i] = f.Eval(t)
 		}
 		return out
 	}
@@ -131,7 +134,7 @@ type JoinSidePlan struct {
 	side      int
 	pos       []int
 	outSchema *catalog.Schema
-	residual  func(value.Tuple) value.Value
+	residual  *expr.Prog
 	cache     map[string][]storage.Row
 	enc       value.KeyEncoder
 	arena     *value.Arena
@@ -158,7 +161,7 @@ func CompileJoinSide(j *algebra.Join, side int, in *catalog.Schema) (*JoinSidePl
 	outSchema := j.Schema()
 	p := &JoinSidePlan{j: j, side: side, pos: pos, outSchema: outSchema}
 	if j.Residual != nil {
-		f, err := expr.CompileFast(j.Residual, outSchema)
+		f, err := expr.CompileProg(j.Residual, outSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -171,10 +174,13 @@ func CompileJoinSide(j *algebra.Join, side int, in *catalog.Schema) (*JoinSidePl
 func (p *JoinSidePlan) SetArena(a *value.Arena) { p.arena = a }
 
 // Apply propagates d (arriving on the plan's side) using probe for the
-// other side's pre-update rows. The plan-level probe cache mirrors the
-// one-query-per-key cost model within this call; it is cleared on entry,
-// so stale pre-states never leak across windows. The result is valid
-// until the next Apply on this plan (or arena reset).
+// other side's pre-update rows. A modification that preserves the join
+// key stays a modification (paired with each matching row); one that
+// moves the tuple across join keys becomes a deletion of the old
+// matches plus an insertion of the new. The plan-level probe cache
+// mirrors the one-query-per-key cost model within this call; it is
+// cleared on entry, so stale pre-states never leak across windows. The
+// result is valid until the next Apply on this plan (or arena reset).
 func (p *JoinSidePlan) Apply(d *Delta, probe Probe) (*Delta, error) {
 	if p.cache == nil {
 		p.cache = map[string][]storage.Row{}
@@ -188,7 +194,7 @@ func (p *JoinSidePlan) Apply(d *Delta, probe Probe) (*Delta, error) {
 		return p.arena.ConcatTuples(other, mine)
 	}
 	keep := func(t value.Tuple) bool {
-		return p.residual == nil || p.residual(t).Truth()
+		return p.residual == nil || p.residual.Truth(t)
 	}
 	matches := func(t value.Tuple) ([]storage.Row, error) {
 		kb := p.enc.ProjectedKey(t, p.pos)
@@ -277,7 +283,7 @@ type JoinPlan struct {
 	Right      *JoinSidePlan
 	lpos, rpos []int
 	outSchema  *catalog.Schema
-	residual   func(value.Tuple) value.Value
+	residual   *expr.Prog
 	enc        value.KeyEncoder
 	arena      *value.Arena
 	nz         Normalizer
@@ -317,7 +323,7 @@ func CompileJoin(j *algebra.Join, lin, rin *catalog.Schema) (*JoinPlan, error) {
 	}
 	p := &JoinPlan{j: j, Left: left, Right: right, lpos: lpos, rpos: rpos, outSchema: j.Schema()}
 	if j.Residual != nil {
-		f, err := expr.CompileFast(j.Residual, p.outSchema)
+		f, err := expr.CompileProg(j.Residual, p.outSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -333,9 +339,16 @@ func (p *JoinPlan) SetArena(a *value.Arena) {
 	p.Right.SetArena(a)
 }
 
-// ApplyBoth combines the three differential terms when both inputs
-// changed (the compiled form of JoinBoth). The result is valid until
-// the next ApplyBoth on this plan (or arena reset).
+// ApplyBoth combines the three terms of the bag-join differential when
+// both inputs changed in the same transaction:
+//
+//	Δ(L⋈R) = ΔL⋈R_old ∪ L_old⋈ΔR ∪ ΔL⋈ΔR
+//
+// probeR and probeL answer against the pre-update states. The ΔL⋈ΔR
+// term is computed in memory over signed rows (modifications expand to
+// -old/+new), so re-pairing of modifications is not preserved across
+// this term — the result is returned normalized. It is valid until the
+// next ApplyBoth on this plan (or arena reset).
 func (p *JoinPlan) ApplyBoth(dl, dr *Delta, probeL, probeR Probe) (*Delta, error) {
 	a, err := p.Left.Apply(dl, probeR)
 	if err != nil {
@@ -390,7 +403,7 @@ func (p *JoinPlan) applyDeltaDelta(dl, dr *Delta) (*Delta, error) {
 		for _, ri := range p.buckets[bid] {
 			rsr := &p.sbufR[ri]
 			t := p.arena.ConcatTuples(lsr.tuple, rsr.tuple)
-			if p.residual != nil && !p.residual(t).Truth() {
+			if p.residual != nil && !p.residual.Truth(t) {
 				continue
 			}
 			n := lsr.count * rsr.count
@@ -411,7 +424,7 @@ func (p *JoinPlan) applyDeltaDelta(dl, dr *Delta) (*Delta, error) {
 type AggregatePlan struct {
 	a      *algebra.Aggregate
 	gpos   []int
-	argFns []func(value.Tuple) value.Value
+	argFns []*expr.Prog
 	out    *catalog.Schema
 	arena  *value.Arena
 	groups bytemap.Map[int32]
@@ -432,12 +445,12 @@ func CompileAggregate(a *algebra.Aggregate, in *catalog.Schema) (*AggregatePlan,
 		}
 		gpos[i] = j
 	}
-	argFns := make([]func(value.Tuple) value.Value, len(a.Aggs))
+	argFns := make([]*expr.Prog, len(a.Aggs))
 	for i, ag := range a.Aggs {
 		if ag.Arg == nil {
 			continue
 		}
-		f, err := expr.CompileFast(ag.Arg, in)
+		f, err := expr.CompileProg(ag.Arg, in)
 		if err != nil {
 			return nil, err
 		}

@@ -165,13 +165,13 @@ func (ev *Evaluator) evalNode(n algebra.Node) (*Result, error) {
 }
 
 func filterResult(in *Result, pred expr.Expr) (*Result, error) {
-	f, err := pred.Compile(in.Schema)
+	f, err := expr.CompileProg(pred, in.Schema)
 	if err != nil {
 		return nil, err
 	}
 	out := &Result{Schema: in.Schema}
 	for _, row := range in.Rows {
-		if f(row.Tuple).Truth() {
+		if f.Truth(row.Tuple) {
 			out.Rows = append(out.Rows, row)
 		}
 	}
@@ -179,9 +179,9 @@ func filterResult(in *Result, pred expr.Expr) (*Result, error) {
 }
 
 func projectResult(in *Result, p *algebra.Project) (*Result, error) {
-	fs := make([]func(value.Tuple) value.Value, len(p.Items))
+	fs := make([]*expr.Prog, len(p.Items))
 	for i, it := range p.Items {
-		f, err := it.E.Compile(in.Schema)
+		f, err := expr.CompileProg(it.E, in.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +195,7 @@ func projectResult(in *Result, p *algebra.Project) (*Result, error) {
 	for _, row := range in.Rows {
 		t := make(value.Tuple, len(fs))
 		for i, f := range fs {
-			t[i] = f(row.Tuple)
+			t[i] = f.Eval(row.Tuple)
 		}
 		kb := enc.Key(t)
 		if e, ok := merged[string(kb)]; ok {
@@ -234,9 +234,9 @@ func (ev *Evaluator) hashJoin(j *algebra.Join, l, r *Result) (*Result, error) {
 		build[string(kb)] = append(build[string(kb)], row)
 	}
 	outSchema := j.Schema()
-	var residual func(value.Tuple) value.Value
+	var residual *expr.Prog
 	if j.Residual != nil {
-		f, err := j.Residual.Compile(outSchema)
+		f, err := expr.CompileProg(j.Residual, outSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +247,7 @@ func (ev *Evaluator) hashJoin(j *algebra.Join, l, r *Result) (*Result, error) {
 		kb := enc.ProjectedKey(lrow.Tuple, lpos)
 		for _, rrow := range build[string(kb)] {
 			t := ev.Win.ConcatTuples(lrow.Tuple, rrow.Tuple)
-			if residual != nil && !residual(t).Truth() {
+			if residual != nil && !residual.Truth(t) {
 				continue
 			}
 			out.Rows = append(out.Rows, storage.Row{Tuple: t, Count: lrow.Count * rrow.Count})

@@ -244,9 +244,9 @@ func (ev *Evaluator) probeJoin(j *algebra.Join, drive *Result, driveLeft bool) (
 		probed[k] = res
 	}
 	outSchema := j.Schema()
-	var residual func(value.Tuple) value.Value
+	var residual *expr.Prog
 	if j.Residual != nil {
-		f, err := j.Residual.Compile(outSchema)
+		f, err := expr.CompileProg(j.Residual, outSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +266,7 @@ func (ev *Evaluator) probeJoin(j *algebra.Join, drive *Result, driveLeft bool) (
 			} else {
 				t = ev.Win.ConcatTuples(orow.Tuple, drow.Tuple)
 			}
-			if residual != nil && !residual(t).Truth() {
+			if residual != nil && !residual.Truth(t) {
 				continue
 			}
 			out.Rows = append(out.Rows, storage.Row{Tuple: t, Count: drow.Count * orow.Count})

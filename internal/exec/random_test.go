@@ -147,4 +147,3 @@ func TestEvalErrorsSurface(t *testing.T) {
 		t.Error("arity mismatch should error")
 	}
 }
-

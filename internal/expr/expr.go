@@ -20,8 +20,6 @@ import (
 type Expr interface {
 	// Eval evaluates the expression against tuple t positioned by schema s.
 	Eval(s *catalog.Schema, t value.Tuple) value.Value
-	// Compile resolves column positions once and returns a fast evaluator.
-	Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error)
 	// Columns appends the qualified names of all referenced columns.
 	Columns(dst []string) []string
 	// String returns the canonical rendering.
@@ -41,15 +39,6 @@ func (c Col) Eval(s *catalog.Schema, t value.Tuple) value.Value {
 		return value.NewNull()
 	}
 	return t[i]
-}
-
-// Compile implements Expr.
-func (c Col) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	i, err := s.Resolve(c.Name)
-	if err != nil {
-		return nil, err
-	}
-	return func(t value.Tuple) value.Value { return t[i] }, nil
 }
 
 // Columns implements Expr.
@@ -72,12 +61,6 @@ func StrLit(s string) Lit { return Lit{V: value.NewString(s)} }
 
 // Eval implements Expr.
 func (l Lit) Eval(*catalog.Schema, value.Tuple) value.Value { return l.V }
-
-// Compile implements Expr.
-func (l Lit) Compile(*catalog.Schema) (func(value.Tuple) value.Value, error) {
-	v := l.V
-	return func(value.Tuple) value.Value { return v }, nil
-}
 
 // Columns implements Expr.
 func (l Lit) Columns(dst []string) []string { return dst }
@@ -111,20 +94,6 @@ func Compare(op CmpOp, l, r Expr) Cmp { return Cmp{Op: op, L: l, R: r} }
 // falsy in predicate position).
 func (c Cmp) Eval(s *catalog.Schema, t value.Tuple) value.Value {
 	return cmpValues(c.Op, c.L.Eval(s, t), c.R.Eval(s, t))
-}
-
-// Compile implements Expr.
-func (c Cmp) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	lf, err := c.L.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := c.R.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	op := c.Op
-	return func(t value.Tuple) value.Value { return cmpValues(op, lf(t), rf(t)) }, nil
 }
 
 func cmpValues(op CmpOp, a, b value.Value) value.Value {
@@ -178,20 +147,6 @@ type Arith struct {
 // Eval implements Expr.
 func (a Arith) Eval(s *catalog.Schema, t value.Tuple) value.Value {
 	return arithValues(a.Op, a.L.Eval(s, t), a.R.Eval(s, t))
-}
-
-// Compile implements Expr.
-func (a Arith) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	lf, err := a.L.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := a.R.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	op := a.Op
-	return func(t value.Tuple) value.Value { return arithValues(op, lf(t), rf(t)) }, nil
 }
 
 func arithValues(op ArithOp, l, r value.Value) value.Value {
@@ -251,26 +206,6 @@ func (a And) Eval(s *catalog.Schema, t value.Tuple) value.Value {
 	return value.NewBool(true)
 }
 
-// Compile implements Expr.
-func (a And) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	fs := make([]func(value.Tuple) value.Value, len(a.Terms))
-	for i, term := range a.Terms {
-		f, err := term.Compile(s)
-		if err != nil {
-			return nil, err
-		}
-		fs[i] = f
-	}
-	return func(t value.Tuple) value.Value {
-		for _, f := range fs {
-			if !f(t).Truth() {
-				return value.NewBool(false)
-			}
-		}
-		return value.NewBool(true)
-	}, nil
-}
-
 // Columns implements Expr.
 func (a And) Columns(dst []string) []string {
 	for _, t := range a.Terms {
@@ -301,21 +236,6 @@ func (o Or) Eval(s *catalog.Schema, t value.Tuple) value.Value {
 	return value.NewBool(false)
 }
 
-// Compile implements Expr.
-func (o Or) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	lf, err := o.L.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := o.R.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	return func(t value.Tuple) value.Value {
-		return value.NewBool(lf(t).Truth() || rf(t).Truth())
-	}, nil
-}
-
 // Columns implements Expr.
 func (o Or) Columns(dst []string) []string { return o.R.Columns(o.L.Columns(dst)) }
 
@@ -328,15 +248,6 @@ type Not struct{ E Expr }
 // Eval implements Expr.
 func (n Not) Eval(s *catalog.Schema, t value.Tuple) value.Value {
 	return value.NewBool(!n.E.Eval(s, t).Truth())
-}
-
-// Compile implements Expr.
-func (n Not) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	f, err := n.E.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	return func(t value.Tuple) value.Value { return value.NewBool(!f(t).Truth()) }, nil
 }
 
 // Columns implements Expr.

@@ -67,13 +67,13 @@ func TestCompileMatchesEval(t *testing.T) {
 		Or{L: Compare(EQ, C("s"), StrLit("y")), R: Compare(GE, C("a"), IntLit(0))},
 		Not{E: Compare(EQ, C("a"), C("b"))},
 	}
-	compiled := make([]func(value.Tuple) value.Value, len(exprs))
+	compiled := make([]*Prog, len(exprs))
 	for i, e := range exprs {
-		f, err := e.Compile(s)
+		p, err := CompileProg(e, s)
 		if err != nil {
-			t.Fatalf("Compile(%s): %v", e, err)
+			t.Fatalf("CompileProg(%s): %v", e, err)
 		}
-		compiled[i] = f
+		compiled[i] = p
 	}
 	cfg := &quick.Config{
 		MaxCount: 500,
@@ -87,7 +87,7 @@ func TestCompileMatchesEval(t *testing.T) {
 	}
 	prop := func(tup value.Tuple) bool {
 		for i, e := range exprs {
-			if e.Eval(s, tup) != compiled[i](tup) {
+			if e.Eval(s, tup) != compiled[i].Eval(tup) {
 				return false
 			}
 		}
@@ -100,11 +100,22 @@ func TestCompileMatchesEval(t *testing.T) {
 
 func TestCompileRejectsUnknownColumns(t *testing.T) {
 	s := testSchema()
-	if _, err := C("nope").Compile(s); err == nil {
-		t.Error("Compile of unknown column should fail")
+	if _, err := CompileProg(C("nope"), s); err == nil {
+		t.Error("CompileProg of unknown column should fail")
 	}
-	if _, err := AndOf(Compare(EQ, C("nope"), IntLit(1))).Compile(s); err == nil {
-		t.Error("Compile should propagate nested errors")
+	if _, err := CompileProg(AndOf(Compare(EQ, C("nope"), IntLit(1))), s); err == nil {
+		t.Error("CompileProg should propagate nested errors")
+	}
+	// The fused column-vs-literal instruction resolves its column too.
+	if _, err := CompileProg(AndOf(Compare(EQ, C("a"), IntLit(1)), Compare(LT, C("nope"), IntLit(2))), s); err == nil {
+		t.Error("CompileProg should reject an unknown column in a fused comparison")
+	}
+	p, err := CompileProg(Compare(GT, C("a"), IntLit(0)), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Truth(value.Tuple{value.NewInt(1), value.NewInt(0), value.NewString("")}) {
+		t.Error("compiled a > 0 is false on a = 1")
 	}
 }
 

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -74,9 +75,9 @@ func randTuple(rng *rand.Rand) value.Tuple {
 	return value.Tuple{pick(), pick(), pick(), pick(), pick()}
 }
 
-// TestProgDifferential pits the flat program against both Eval and the
-// closure Compile on random expressions and tuples — values (including
-// NULL propagation and truthiness short-circuits) must agree exactly.
+// TestProgDifferential pits the flat program against the tree-walking
+// Eval on random expressions and tuples — values (including NULL
+// propagation and truthiness short-circuits) must agree exactly.
 func TestProgDifferential(t *testing.T) {
 	s := progSchema()
 	rng := rand.New(rand.NewSource(0xE15A))
@@ -87,23 +88,15 @@ func TestProgDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CompileProg(%s): %v", e, err)
 		}
-		closure, err := e.Compile(s)
-		if err != nil {
-			t.Fatalf("Compile(%s): %v", e, err)
-		}
 		exprs++
 		for j := 0; j < 50; j++ {
 			tu := randTuple(rng)
 			got := prog.Eval(tu)
-			wantC := closure(tu)
-			wantE := e.Eval(s, tu)
-			if !value.Equal(got, wantC) || got.IsNull() != wantC.IsNull() {
-				t.Fatalf("expr %s on %s: prog=%v closure=%v", e, tu, got, wantC)
+			want := e.Eval(s, tu)
+			if !value.Equal(got, want) || got.IsNull() != want.IsNull() {
+				t.Fatalf("expr %s on %s: prog=%v eval=%v", e, tu, got, want)
 			}
-			if !value.Equal(got, wantE) || got.IsNull() != wantE.IsNull() {
-				t.Fatalf("expr %s on %s: prog=%v eval=%v", e, tu, got, wantE)
-			}
-			if prog.Truth(tu) != wantC.Truth() {
+			if prog.Truth(tu) != want.Truth() {
 				t.Fatalf("expr %s on %s: Truth mismatch", e, tu)
 			}
 		}
@@ -130,52 +123,101 @@ func TestProgShortCircuit(t *testing.T) {
 		t.Fatal("AND with false first term evaluated true")
 	}
 	// Division by zero yields NULL (per value.Div), so even when reached
-	// the result must mirror the closure path.
+	// the result must mirror the tree-walking Eval.
 	e2 := AndOf(
 		Compare(EQ, C("A"), IntLit(1)),
 		Compare(EQ, Arith{Op: Over, L: IntLit(1), R: IntLit(0)}, IntLit(1)),
 	)
 	prog2, _ := CompileProg(e2, s)
-	closure2, _ := e2.Compile(s)
-	if prog2.Eval(tu).Truth() != closure2(tu).Truth() {
-		t.Fatal("NULL-producing second term diverged from closure path")
+	if prog2.Eval(tu).Truth() != e2.Eval(s, tu).Truth() {
+		t.Fatal("NULL-producing second term diverged from Eval")
 	}
 }
 
-func TestCompileFastResolutionError(t *testing.T) {
+// TestProgFusedColCmpLit pins the fused column-vs-literal instruction:
+// every operator, NULL columns, Int columns against Float literals, and
+// the unfused literal-on-the-left shape, each against Eval.
+func TestProgFusedColCmpLit(t *testing.T) {
 	s := progSchema()
-	if _, err := CompileFast(C("NoSuchCol"), s); err == nil {
-		t.Fatal("CompileFast resolved a nonexistent column")
+	ops := []CmpOp{EQ, NE, LT, LE, GT, GE}
+	lits := []Lit{IntLit(2), FloatLit(2), FloatLit(2.5), StrLit("x"), {V: value.NewNull()}}
+	cols := []value.Value{value.NewInt(1), value.NewInt(2), value.NewInt(3), value.NewNull()}
+	fused := func(p *Prog) bool {
+		for _, in := range p.code {
+			if in.op == opColCmpLit {
+				return true
+			}
+		}
+		return false
 	}
-	f, err := CompileFast(Compare(GT, C("A"), IntLit(0)), s)
+	check := func(e Expr, wantFused bool) {
+		t.Helper()
+		p, err := CompileProg(e, s)
+		if err != nil {
+			t.Fatalf("CompileProg(%s): %v", e, err)
+		}
+		if fused(p) != wantFused {
+			t.Fatalf("%s: fused = %v, want %v", e, !wantFused, wantFused)
+		}
+		for _, a := range cols {
+			for _, d := range []value.Value{value.NewString("x"), value.NewString("y"), value.NewNull()} {
+				tu := value.Tuple{a, value.NewInt(0), value.NewFloat(0), d, value.NewBool(true)}
+				got, want := p.Eval(tu), e.Eval(s, tu)
+				if !value.Equal(got, want) || got.IsNull() != want.IsNull() {
+					t.Fatalf("%s on %s: prog=%v eval=%v", e, tu, got, want)
+				}
+			}
+		}
+	}
+	for _, op := range ops {
+		for _, l := range lits {
+			check(Compare(op, C("A"), l), true)  // Int column (or NULL) vs literal
+			check(Compare(op, C("D"), l), true)  // String column vs literal
+			check(Compare(op, l, C("A")), false) // literal on the left: general path
+			check(Compare(op, C("A"), C("B")), false)
+			check(AndOf(Compare(op, C("A"), l), Compare(NE, C("D"), StrLit("y"))), true)
+			check(Not{E: Compare(op, C("A"), l)}, true)
+		}
+	}
+	// A fused comparison is the whole program: one instruction, no stack.
+	p, _ := CompileProg(Compare(EQ, C("D"), StrLit("x")), s)
+	if len(p.code) != 1 {
+		t.Fatalf("Col = Lit compiled to %d instructions, want 1", len(p.code))
+	}
+}
+
+// BenchmarkProgScan is the DML front door's WHERE scan: a
+// `EName = 'literal'` predicate evaluated over 10k rows, the shape
+// UPDATE/DELETE compile per statement and run across a base relation.
+func BenchmarkProgScan(b *testing.B) {
+	s := &catalog.Schema{Cols: []catalog.Column{
+		{Qualifier: "Emp", Name: "EName", Type: value.String},
+		{Qualifier: "Emp", Name: "DName", Type: value.String},
+		{Qualifier: "Emp", Name: "Salary", Type: value.Int},
+	}}
+	rows := make([]value.Tuple, 10000)
+	for i := range rows {
+		rows[i] = value.Tuple{
+			value.NewString(fmt.Sprintf("e%03d_%02d", i/100, i%100)),
+			value.NewString(fmt.Sprintf("d%03d", i/100)),
+			value.NewInt(int64(100 + i%50)),
+		}
+	}
+	p, err := CompileProg(Compare(EQ, C("EName"), StrLit("e050_50")), s)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	if !f(value.Tuple{value.NewInt(1)}).Truth() {
-		t.Fatal("CompileFast evaluator wrong")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for _, r := range rows {
+			if p.Truth(r) {
+				n++
+			}
+		}
+		if n != 1 {
+			b.Fatalf("matched %d rows, want 1", n)
+		}
 	}
-}
-
-func BenchmarkProgVsClosure(b *testing.B) {
-	s := progSchema()
-	e := AndOf(
-		Compare(GT, C("A"), IntLit(0)),
-		Compare(LT, C("B"), IntLit(10)),
-		Compare(GE, Arith{Op: Plus, L: C("A"), R: C("B")}, IntLit(2)),
-	)
-	tu := value.Tuple{value.NewInt(3), value.NewInt(4), value.NewFloat(0), value.NewString("x"), value.NewBool(true)}
-	b.Run("prog", func(b *testing.B) {
-		p, _ := CompileProg(e, s)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.Eval(tu)
-		}
-	})
-	b.Run("closure", func(b *testing.B) {
-		f, _ := e.Compile(s)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			f(tu)
-		}
-	})
 }

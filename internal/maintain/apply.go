@@ -30,53 +30,35 @@ var (
 // group query when the parent is materialized with decomposable
 // aggregates, or when the delta covers whole groups.
 //
-// st is the node's compiled plan step (may be nil); when present, the
-// precompiled propagation plans replace per-call schema resolution and
-// expression compilation.
+// st is the node's compiled plan step (compileStep): selections,
+// projections, joins and aggregates propagate through its precompiled
+// plans.
 func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delta.Delta, tr *tracks.Track, w *windowMemo, st *planStep) (*delta.Delta, error) {
 	childDelta := func(i int) *delta.Delta { return deltas[op.Children[i].ID] }
 	switch t := op.Template.(type) {
 	case *algebra.Select:
-		if st != nil && st.sel != nil {
-			return st.sel.Apply(childDelta(0))
-		}
-		return delta.Select(t, childDelta(0))
+		return st.sel.Apply(childDelta(0))
 
 	case *algebra.Project:
-		if st != nil && st.proj != nil {
-			return st.proj.Apply(childDelta(0))
-		}
-		return delta.Project(t, childDelta(0))
+		return st.proj.Apply(childDelta(0))
 
 	case *algebra.Join:
 		dl, dr := childDelta(0), childDelta(1)
 		probeL := m.probe(op.Children[0], t.LeftCols(), w)
 		probeR := m.probe(op.Children[1], t.RightCols(), w)
-		if st != nil && st.join != nil {
-			switch {
-			case !dl.Empty() && !dr.Empty():
-				return st.join.ApplyBoth(dl, dr, probeL, probeR)
-			case !dl.Empty():
-				return st.join.Left.Apply(dl, probeR)
-			case !dr.Empty():
-				return st.join.Right.Apply(dr, probeL)
-			default:
-				return delta.New(t.Schema()), nil
-			}
-		}
 		switch {
 		case !dl.Empty() && !dr.Empty():
-			return delta.JoinBoth(t, dl, dr, probeL, probeR)
+			return st.join.ApplyBoth(dl, dr, probeL, probeR)
 		case !dl.Empty():
-			return delta.JoinSide(t, dl, 0, probeR)
+			return st.join.Left.Apply(dl, probeR)
 		case !dr.Empty():
-			return delta.JoinSide(t, dr, 1, probeL)
+			return st.join.Right.Apply(dr, probeL)
 		default:
 			return delta.New(t.Schema()), nil
 		}
 
 	case *algebra.Aggregate:
-		return m.aggregateDelta(e, op, t, deltas, tr, w, st)
+		return m.aggregateDelta(e, op, t, deltas, tr, w, st.agg)
 
 	case *algebra.Distinct:
 		cd := childDelta(0)
@@ -87,13 +69,7 @@ func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delt
 		return delta.Distinct(t, cd, countOf)
 
 	case *algebra.Union:
-		out := delta.New(t.Schema())
-		for i := range op.Children {
-			if cd := childDelta(i); !cd.Empty() {
-				out.Changes = append(out.Changes, cd.Changes...)
-			}
-		}
-		return out, nil
+		return delta.Union(t, childDelta(0), childDelta(1)), nil
 
 	case *algebra.Diff:
 		countL, err := m.countProbe(e, op.Children[0], w)
@@ -127,7 +103,7 @@ func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delt
 // decomposable), covered (key-based, query-free) and full-group (queried)
 // aggregate maintenance strategies — the same three-way decision the cost
 // estimator prices.
-func (m *Maintainer) aggregateDelta(e *dag.EqNode, op *dag.OpNode, agg *algebra.Aggregate, deltas map[int]*delta.Delta, tr *tracks.Track, w *windowMemo, st *planStep) (*delta.Delta, error) {
+func (m *Maintainer) aggregateDelta(e *dag.EqNode, op *dag.OpNode, agg *algebra.Aggregate, deltas map[int]*delta.Delta, tr *tracks.Track, w *windowMemo, plan *delta.AggregatePlan) (*delta.Delta, error) {
 	child := op.Children[0]
 	cd := deltas[child.ID]
 	if cd.Empty() {
@@ -153,16 +129,7 @@ func (m *Maintainer) aggregateDelta(e *dag.EqNode, op *dag.OpNode, agg *algebra.
 		}
 	}
 	if tracked && !staleTouched && delta.Decomposable(agg.Aggs, cd) {
-		var (
-			out  *delta.Delta
-			live map[string]int64
-			err  error
-		)
-		if st != nil && st.agg != nil {
-			out, live, err = st.agg.Incremental(cd, m.oldAggProbe(v, agg))
-		} else {
-			out, live, err = delta.AggregateIncremental(agg, cd, m.oldAggProbe(v, agg))
-		}
+		out, live, err := plan.Incremental(cd, m.oldAggProbe(v, agg))
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +163,7 @@ func (m *Maintainer) aggregateDelta(e *dag.EqNode, op *dag.OpNode, agg *algebra.
 			return m.answerQuery(child, agg.GroupBy, gk, w)
 		}
 	}
-	out, err := delta.AggregateFull(agg, cd, oldGroup)
+	out, err := plan.Full(cd, oldGroup)
 	if err != nil {
 		return nil, err
 	}

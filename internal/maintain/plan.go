@@ -40,7 +40,7 @@ type trackPlan struct {
 // planStep is the compiled propagation step of one equivalence node;
 // exactly one field is set, matching the chosen operation's kind.
 // Operators with no compile-time state (Distinct, Union, Diff) leave all
-// fields nil and take the generic path.
+// fields nil and propagate through delta's plain functions.
 type planStep struct {
 	sel  *delta.SelectPlan
 	proj *delta.ProjectPlan

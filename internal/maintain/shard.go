@@ -488,10 +488,11 @@ func groupIndexInto(out map[string]storage.Row, m *Maintainer, e *dag.EqNode, nG
 	})
 }
 
-// combineGroup merges one group's per-shard partial aggregates: SUM and
-// COUNT add, MIN and MAX compare. found is false when no shard holds
-// the group (it died everywhere — e.g. an annihilation window deleted
-// every member).
+// combineGroup merges one group's per-shard partial aggregates through
+// algebra.Acc's merge: SUM and COUNT add, MIN and MAX compare, and a
+// NULL partial (a shard whose members all have a NULL argument) is an
+// empty fold. found is false when no shard holds the group (it died
+// everywhere — e.g. an annihilation window deleted every member).
 func combineGroup(partials []map[string]storage.Row, key string, vp ViewPartition) (storage.Row, bool) {
 	var out storage.Row
 	found := false
@@ -507,39 +508,12 @@ func combineGroup(partials []map[string]storage.Row, key string, vp ViewPartitio
 		}
 		for j, ag := range vp.Aggs {
 			pos := vp.NGroup + j
-			out.Tuple[pos] = combineAgg(ag.Func, out.Tuple[pos], r.Tuple[pos])
+			acc := algebra.Partial(ag.Func, out.Tuple[pos])
+			acc.Merge(algebra.Partial(ag.Func, r.Tuple[pos]))
+			out.Tuple[pos] = acc.Final(ag.Func)
 		}
 	}
 	return out, found
-}
-
-func combineAgg(f algebra.AggFunc, a, b value.Value) value.Value {
-	switch f {
-	case algebra.Sum, algebra.Count:
-		if a.Kind == value.Float || b.Kind == value.Float {
-			af, bf := a.F, b.F
-			if a.Kind == value.Int {
-				af = float64(a.I)
-			}
-			if b.Kind == value.Int {
-				bf = float64(b.I)
-			}
-			return value.NewFloat(af + bf)
-		}
-		return value.NewInt(a.I + b.I)
-	case algebra.Min:
-		if value.Compare(b, a) < 0 {
-			return b
-		}
-		return a
-	case algebra.Max:
-		if value.Compare(b, a) > 0 {
-			return b
-		}
-		return a
-	default:
-		return a
-	}
 }
 
 // RebuildMerged recomputes every spanning view's merged state from the

@@ -332,6 +332,90 @@ func TestShardedAggregateMerge(t *testing.T) {
 	}
 }
 
+// TestShardedMinMaxNullPartial pins the merge of a NULL partial: a new
+// department's two employees land on different shards, one with a NULL
+// salary and one with 5. The NULL member's shard folds its group to a
+// NULL MIN/MAX (no non-NULL value), which is an empty fold, not a value
+// below every other: the merged row must read MIN = MAX = 5, like
+// unsharded maintenance and recomputation.
+func TestShardedMinMaxNullPartial(t *testing.T) {
+	factory := aggFactory(func(db *corpus.Database) []algebra.Node {
+		return []algebra.Node{algebra.NewAggregate([]string{"Emp.DName"},
+			[]algebra.AggSpec{
+				{Func: algebra.Min, Arg: expr.C("Emp.Salary"), As: "Lo"},
+				{Func: algebra.Max, Arg: expr.C("Emp.Salary"), As: "Hi"},
+			}, algebra.Scan(db.Catalog.MustGet("Emp")))}
+	})
+	setup, err := factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := tracks.RootSet(setup.D)
+	serial, err := maintain.New(setup.D, setup.Store, cost.PageIO{}, vs.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := maintain.NewSharded(factory, maintain.ShardedConfig{
+		Shards: 2, PartitionBy: "EName", VS: vs.Clone(), Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := setup.D.Roots[0]
+	if vp := s.Part.Views[root.ID]; vp.Class != maintain.ShardSpanning {
+		t.Fatalf("MIN/MAX BY DName under EName partitioning is not spanning: %s", s.Part.Describe())
+	}
+
+	emp := func(name string, salary value.Value) value.Tuple {
+		return value.Tuple{value.NewString(name), value.NewString("dNULL"), salary}
+	}
+	names := map[int]string{} // shard -> first candidate EName routed there
+	for i := 0; len(names) < 2 && i < 1000; i++ {
+		name := fmt.Sprintf("zz_null_%03d", i)
+		if sh := s.Route("Emp", emp(name, value.NewNull())); names[sh] == "" {
+			names[sh] = name
+		}
+	}
+	if len(names) < 2 {
+		t.Fatal("no two ENames route to different shards")
+	}
+	ins := delta.New(setup.Cat.MustGet("Emp").Schema)
+	ins.Insert(emp(names[0], value.NewNull()), 1)
+	ins.Insert(emp(names[1], value.NewInt(5)), 1)
+	ty := &txn.Type{Name: "+Emp", Weight: 1,
+		Updates: []txn.RelUpdate{{Rel: "Emp", Kind: txn.Insert, Size: 2}}}
+	window := func() []txn.Transaction {
+		return []txn.Transaction{{Type: ty, Updates: map[string]*delta.Delta{"Emp": ins}}}
+	}
+	if _, err := serial.ApplyBatch(window()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ApplyBatch(window()); err != nil {
+		t.Fatal(err)
+	}
+
+	want := sortedContents(serial, root)
+	got := s.Contents(root)
+	if !rowsEqual(got, want) {
+		t.Fatalf("sharded MIN/MAX diverged from serial\nsharded: %v\nserial:  %v", got, want)
+	}
+	if drift, err := s.Drift(root); err != nil || drift != "" {
+		t.Fatalf("drift %q err %v", drift, err)
+	}
+	found := false
+	for _, r := range got {
+		if r.Tuple[0].S == "dNULL" {
+			found = true
+			if r.Tuple[1] != value.NewInt(5) || r.Tuple[2] != value.NewInt(5) {
+				t.Fatalf("dNULL row = %v, want MIN = MAX = 5", r.Tuple)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("dNULL group missing from the merged view")
+	}
+}
+
 // mergeWindows generates the merge-test workload against the baseline's
 // evolving state, applying each window to the serial maintainer as it is
 // built and snapshotting the expected contents of every root after each.

@@ -39,9 +39,9 @@ type SwarmOptions struct {
 	Batch   int // window size (acceptance runs use 64)
 	Workers int // ApplyBatch view-application goroutines
 
-	Clients     int           // concurrent read clients (pollers + SSE)
-	SSEFraction float64       // fraction of clients holding changefeeds (default 0.05)
-	WindowRate  float64       // offered writer load, windows/second (default 50)
+	Clients      int           // concurrent read clients (pollers + SSE)
+	SSEFraction  float64       // fraction of clients holding changefeeds (default 0.05)
+	WindowRate   float64       // offered writer load, windows/second (default 50)
 	PollInterval time.Duration // mean poller wake interval (default 2s, jittered)
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/delta"
+	"repro/internal/expr"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -32,7 +33,7 @@ func DeleteDelta(tr *Translator, rel *storage.Relation, del *Delete) (*delta.Del
 		return nil, err
 	}
 	for _, row := range rel.ScanFree() {
-		if match(row.Tuple) {
+		if match.Truth(row.Tuple) {
 			d.Delete(row.Tuple.Clone(), row.Count)
 		}
 	}
@@ -49,7 +50,7 @@ func UpdateDelta(tr *Translator, rel *storage.Relation, upd *Update) (*delta.Del
 	}
 	type setter struct {
 		pos int
-		f   func(value.Tuple) value.Value
+		f   *expr.Prog
 	}
 	setters := make([]setter, len(upd.Set))
 	for i, sc := range upd.Set {
@@ -61,19 +62,19 @@ func UpdateDelta(tr *Translator, rel *storage.Relation, upd *Update) (*delta.Del
 		if err != nil {
 			return nil, err
 		}
-		f, err := e.Compile(rel.Def.Schema)
+		f, err := expr.CompileProg(e, rel.Def.Schema)
 		if err != nil {
 			return nil, err
 		}
 		setters[i] = setter{pos: pos, f: f}
 	}
 	for _, row := range rel.ScanFree() {
-		if !match(row.Tuple) {
+		if !match.Truth(row.Tuple) {
 			continue
 		}
 		newT := row.Tuple.Clone()
 		for _, s := range setters {
-			newT[s.pos] = s.f(row.Tuple)
+			newT[s.pos] = s.f.Eval(row.Tuple)
 		}
 		d.Modify(row.Tuple.Clone(), newT, row.Count)
 	}
@@ -89,17 +90,13 @@ func ModifiedColumns(upd *Update) []string {
 	return out
 }
 
-func compileWhere(tr *Translator, rel *storage.Relation, where Scalar) (func(value.Tuple) bool, error) {
-	if where == nil {
-		return func(value.Tuple) bool { return true }, nil
+func compileWhere(tr *Translator, rel *storage.Relation, where Scalar) (*expr.Prog, error) {
+	e := expr.AndOf() // no WHERE: every row
+	if where != nil {
+		var err error
+		if e, err = tr.scalarExpr(where, false); err != nil {
+			return nil, err
+		}
 	}
-	e, err := tr.scalarExpr(where, false)
-	if err != nil {
-		return nil, err
-	}
-	f, err := e.Compile(rel.Def.Schema)
-	if err != nil {
-		return nil, err
-	}
-	return func(t value.Tuple) bool { return f(t).Truth() }, nil
+	return expr.CompileProg(e, rel.Def.Schema)
 }

@@ -17,17 +17,17 @@ import (
 // instance with handles to the nodes of Figure 2: n3 is the SumOfSals
 // aggregate (the paper's N3), n4 the Emp⋈Dept join (the paper's N4).
 type fixture struct {
-	db      *corpus.Database
-	d       *dag.DAG
-	cost    *tracks.Costing
-	n3, n4  *dag.EqNode
-	emp     *dag.EqNode
-	dept    *dag.EqNode
-	empT    *txn.Type
-	deptT   *txn.Type
-	empty   tracks.ViewSet
-	setN3   tracks.ViewSet
-	setN4   tracks.ViewSet
+	db     *corpus.Database
+	d      *dag.DAG
+	cost   *tracks.Costing
+	n3, n4 *dag.EqNode
+	emp    *dag.EqNode
+	dept   *dag.EqNode
+	empT   *txn.Type
+	deptT  *txn.Type
+	empty  tracks.ViewSet
+	setN3  tracks.ViewSet
+	setN4  tracks.ViewSet
 }
 
 func newFixture(t *testing.T) *fixture {

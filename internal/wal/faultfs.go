@@ -29,9 +29,9 @@ type FaultFS struct {
 	files map[string]*faultFile
 	dirs  map[string]bool
 
-	ops     int   // mutating operations performed
-	crashAt int   // crash on the Nth mutating op (1-based); 0 = never
-	crashed bool  // down until Reboot
+	ops     int  // mutating operations performed
+	crashAt int  // crash on the Nth mutating op (1-based); 0 = never
+	crashed bool // down until Reboot
 	seed    uint64
 
 	// TornTail keeps a pseudo-random prefix of each file's unsynced

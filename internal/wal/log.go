@@ -27,8 +27,8 @@ import (
 // contiguous LSNs; everything after the first violation is the torn
 // tail of a crashed write and is truncated on open.
 const (
-	segMagic     = "MVWALSG1"
-	segHeaderLen = 16
+	segMagic      = "MVWALSG1"
+	segHeaderLen  = 16
 	frameOverhead = 8
 	// maxRecordLen bounds a frame's declared payload length so a corrupt
 	// length field cannot drive a huge allocation.
@@ -38,9 +38,9 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var (
-	fsyncNs   = obs.H("wal.fsync.ns")
-	walBytes  = obs.C("wal.bytes")
-	walRecs   = obs.C("wal.records")
+	fsyncNs  = obs.H("wal.fsync.ns")
+	walBytes = obs.C("wal.bytes")
+	walRecs  = obs.C("wal.records")
 )
 
 // Options configures a log directory.
@@ -86,8 +86,8 @@ type segInfo struct {
 // Manager serializes commits behind the maintenance pipeline's window
 // barrier.
 type Log struct {
-	fsys    FS
-	dir     string
+	fsys     FS
+	dir      string
 	segBytes int
 
 	lastLSN uint64

@@ -181,6 +181,31 @@ WHERE Dept.DName = Emp.DName GROUP BY Dept.DName, Budget HAVING SUM(Salary) > Bu
 	}
 }
 
+// TestRootUnderTwoNames: ProblemDept and its assertion DeptConstraint
+// resolve to one DAG root. In either declaration order both names stay
+// addressable and the assertion stays checked.
+func TestRootUnderTwoNames(t *testing.T) {
+	for _, names := range [][]string{{"DeptConstraint", "ProblemDept"}, {"ProblemDept", "DeptConstraint"}} {
+		db := paperDB(t, 4, 2)
+		sys, err := db.Build(names, mvmaint.Config{Workload: paperWorkload()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range names {
+			if _, err := sys.ViewRows(n); err != nil {
+				t.Errorf("%v: ViewRows(%s): %v", names, n, err)
+			}
+		}
+		out, err := sys.Execute("UPDATE Emp SET Salary = 99999 WHERE EName = 'e000_00'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.RolledBack {
+			t.Errorf("%v: violating update was not rolled back", names)
+		}
+	}
+}
+
 func TestBuildErrors(t *testing.T) {
 	db := paperDB(t, 2, 2)
 	if _, err := db.Build(nil, mvmaint.Config{Workload: paperWorkload()}); err == nil {

@@ -62,25 +62,23 @@ func (s *System) NewServing(opts ServeOptions) (*Serving, error) {
 		}
 	}
 	var sources []server.ViewSource
-	for id, name := range s.names {
-		if s.DB.IsAssertion(name) {
+	served := map[int]bool{} // a root declared under two names is served once
+	for _, name := range s.names {
+		e := s.roots[name]
+		if s.DB.IsAssertion(name) || served[e.ID] {
 			continue
 		}
-		for _, e := range s.DAG.Roots {
-			if e.ID != id {
-				continue
-			}
-			rel, ok := s.M.ViewRel(e)
-			if !ok {
-				return nil, fmt.Errorf("mvmaint: view %q is not materialized", name)
-			}
-			sources = append(sources, server.ViewSource{
-				Name:   name,
-				Schema: rel.Def.Schema,
-				EqID:   e.ID,
-				Rel:    rel,
-			})
+		served[e.ID] = true
+		rel, ok := s.M.ViewRel(e)
+		if !ok {
+			return nil, fmt.Errorf("mvmaint: view %q is not materialized", name)
 		}
+		sources = append(sources, server.ViewSource{
+			Name:   name,
+			Schema: rel.Def.Schema,
+			EqID:   e.ID,
+			Rel:    rel,
+		})
 	}
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("mvmaint: no non-assertion views to serve")

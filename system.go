@@ -110,7 +110,8 @@ type System struct {
 	M        *maintain.Maintainer
 	Checker  *ic.Checker
 
-	names map[int]string // root eq ID -> declared name
+	names []string               // declared order
+	roots map[string]*dag.EqNode // declared name -> DAG root
 }
 
 // Build grows the DAG for the named views/assertions, optimizes the view
@@ -123,36 +124,12 @@ func (db *DB) Build(names []string, cfg Config) (*System, error) {
 	if len(cfg.Workload) == 0 {
 		return nil, fmt.Errorf("mvmaint: Build requires a workload")
 	}
-	if cfg.Model == nil {
-		cfg.Model = cost.PageIO{}
-	}
-	if cfg.Rules == nil {
-		cfg.Rules = rules.Default()
-	}
-	if cfg.MaxOps == 0 {
-		cfg.MaxOps = 512
-	}
-	trees := make([]algebra.Node, len(names))
-	for i, n := range names {
-		tree, ok := db.View(n)
-		if !ok {
-			return nil, fmt.Errorf("mvmaint: unknown view or assertion %q", n)
-		}
-		trees[i] = tree
-	}
-	d, err := dag.FromTrees(trees...)
+	cfg = cfg.withDefaults()
+	d, roots, err := expandDAG(db, names, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := d.Expand(cfg.Rules, cfg.MaxOps); err != nil {
-		return nil, err
-	}
-	db.RefreshStats()
-
-	opt := core.New(d, cfg.Model, cfg.Workload)
-	opt.Parallelism = cfg.Parallelism
-	opt.Seed = cfg.Seed
-	res, err := runOptimizer(opt, cfg.Method)
+	res, err := optimize(d, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -167,24 +144,85 @@ func (db *DB) Build(names []string, cfg Config) (*System, error) {
 		return nil, err
 	}
 	sys := &System{DB: db, DAG: d, Decision: res, ViewSet: res.Best.Set, M: m,
-		names: map[int]string{}}
-	var assertions []ic.Assertion
+		names: append([]string(nil), names...), roots: roots}
+	if sys.Checker, err = ic.New(m, sys.assertions()...); err != nil {
+		return nil, err
+	}
+	return sys, nil
+}
+
+// withDefaults fills the zero optimizer fields of cfg: the paper's
+// page-I/O model, the default rule set and a 512-operation DAG cap.
+func (cfg Config) withDefaults() Config {
+	if cfg.Model == nil {
+		cfg.Model = cost.PageIO{}
+	}
+	if cfg.Rules == nil {
+		cfg.Rules = rules.Default()
+	}
+	if cfg.MaxOps == 0 {
+		cfg.MaxOps = 512
+	}
+	return cfg
+}
+
+// expandDAG is the prelude Build and BuildSharded (template and every
+// shard) share: resolve the declared names on db, grow and expand their
+// expression DAG, and refresh db's statistics. roots maps each name to
+// its DAG root.
+func expandDAG(db *DB, names []string, cfg Config) (*dag.DAG, map[string]*dag.EqNode, error) {
+	trees := make([]algebra.Node, len(names))
+	for i, n := range names {
+		tree, ok := db.View(n)
+		if !ok {
+			return nil, nil, fmt.Errorf("mvmaint: unknown view or assertion %q", n)
+		}
+		trees[i] = tree
+	}
+	d, err := dag.FromTrees(trees...)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := d.Expand(cfg.Rules, cfg.MaxOps); err != nil {
+		return nil, nil, err
+	}
+	roots := make(map[string]*dag.EqNode, len(names))
 	for i, n := range names {
 		eq := d.FindEq(trees[i])
 		if eq == nil {
-			return nil, fmt.Errorf("mvmaint: lost root for %q", n)
+			return nil, nil, fmt.Errorf("mvmaint: lost root for %q", n)
 		}
-		sys.names[eq.ID] = n
-		if db.IsAssertion(n) {
-			assertions = append(assertions, ic.Assertion{Name: n, View: eq})
-		}
+		roots[n] = eq
 	}
-	checker, err := ic.New(m, assertions...)
-	if err != nil {
-		return nil, err
+	db.RefreshStats()
+	return d, roots, nil
+}
+
+// optimize runs cfg's view-set optimizer over d; the single switch
+// behind Build, Reoptimize and BuildSharded.
+func optimize(d *dag.DAG, cfg Config) (*core.Result, error) {
+	opt := core.New(d, cfg.Model, cfg.Workload)
+	opt.Parallelism = cfg.Parallelism
+	opt.Seed = cfg.Seed
+	switch cfg.Method {
+	case Exhaustive:
+		return opt.Exhaustive()
+	case Parallel:
+		return opt.Parallel()
+	case Shielded:
+		return opt.Shielded()
+	case Greedy:
+		return opt.Greedy(), nil
+	case SingleTree:
+		return opt.SingleTree()
+	case HeuristicMarking:
+		return opt.HeuristicMarking(), nil
+	case NoAdditional:
+		ev := opt.Evaluate()
+		return &core.Result{Method: "no-additional", Best: ev, All: []core.Evaluated{ev}, Explored: 1}, nil
+	default:
+		return nil, fmt.Errorf("mvmaint: unknown method %v", cfg.Method)
 	}
-	sys.Checker = checker
-	return sys, nil
 }
 
 // Execute runs one DML statement under maintenance and assertion
@@ -204,17 +242,23 @@ func (s *System) ExecuteTxn(t *txn.Type, updates map[string]*delta.Delta) (*ic.O
 
 // ViewRows returns the maintained contents of a declared view.
 func (s *System) ViewRows(name string) ([]storage.Row, error) {
-	for id, n := range s.names {
-		if n != name {
-			continue
-		}
-		for _, e := range s.DAG.Roots {
-			if e.ID == id {
-				return s.M.Contents(e), nil
-			}
+	e, ok := s.roots[name]
+	if !ok {
+		return nil, fmt.Errorf("mvmaint: %q is not a maintained view", name)
+	}
+	return s.M.Contents(e), nil
+}
+
+// assertions lists the declared assertions among the maintained roots,
+// in declared order.
+func (s *System) assertions() []ic.Assertion {
+	var out []ic.Assertion
+	for _, name := range s.names {
+		if s.DB.IsAssertion(name) {
+			out = append(out, ic.Assertion{Name: name, View: s.roots[name]})
 		}
 	}
-	return nil, fmt.Errorf("mvmaint: %q is not a maintained view", name)
+	return out
 }
 
 // AdditionalViews describes the extra views the optimizer materialized,
@@ -277,17 +321,12 @@ func (s *System) IO() *storage.IOCounter { return s.DB.Store.IO }
 // hook for when data drift makes it worthwhile. It reports whether the
 // view set changed.
 func (s *System) Reoptimize(cfg Config) (changed bool, err error) {
-	if cfg.Model == nil {
-		cfg.Model = cost.PageIO{}
-	}
+	cfg = cfg.withDefaults()
 	if len(cfg.Workload) == 0 {
 		return false, fmt.Errorf("mvmaint: Reoptimize requires a workload")
 	}
 	s.DB.RefreshStats()
-	opt := core.New(s.DAG, cfg.Model, cfg.Workload)
-	opt.Parallelism = cfg.Parallelism
-	opt.Seed = cfg.Seed
-	res, err := runOptimizer(opt, cfg.Method)
+	res, err := optimize(s.DAG, cfg)
 	if err != nil {
 		return false, err
 	}
@@ -305,18 +344,7 @@ func (s *System) Reoptimize(cfg Config) (changed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	var assertions []ic.Assertion
-	for id, name := range s.names {
-		if !s.DB.IsAssertion(name) {
-			continue
-		}
-		for _, e := range s.DAG.Roots {
-			if e.ID == id {
-				assertions = append(assertions, ic.Assertion{Name: name, View: e})
-			}
-		}
-	}
-	checker, err := ic.New(m, assertions...)
+	checker, err := ic.New(m, s.assertions()...)
 	if err != nil {
 		return false, err
 	}
